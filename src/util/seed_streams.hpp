@@ -14,9 +14,9 @@
 //     therefore every figure — treat them as frozen),
 //   * ASCII mnemonics for subsystem streams ("REPL", "FALT", ...).
 //
-// The determinism lint (CORP-SEED-001, tools/lint/corp_lint.py) rejects
-// bare literal stream tags at derive_seed call sites; add new tags here
-// and pass them by name.
+// The determinism analyzer (CORP-SEED-001, tools/analyze/corp_analyze.py)
+// rejects bare literal stream tags at derive_seed call sites; add new
+// tags here and pass them by name.
 #pragma once
 
 #include <cstddef>

@@ -1,66 +1,41 @@
 #!/usr/bin/env python3
-"""Layer-3 AST-level determinism analyzer for the CORP tree.
+"""Determinism analyzer for the CORP C++ tree.
 
-Whole-program, scope-aware checks that the token-level linter
-(tools/lint/corp_lint.py) cannot express:
-
-  CORP-PAR-001  a lambda handed to util::ThreadPool::parallel_for /
-                submit writes captured shared state not indexed by the
-                loop/shard variable (a determinism race)
-  CORP-PAR-002  floating-point `+=`/`-=` accumulation into captured
-                shared state inside a parallel region (order-dependent)
-  CORP-SEED-002 cross-TU audit of util::derive_seed call sites against
-                the seed_stream registry: unused tags, (base, tag,
-                substream) collisions, tags re-derived along one path
-  CORP-OBS-002  one obs metric name published from two different
-                subsystem directories
-
-Two interchangeable frontends lower each translation unit to the same
-facts record: `clang` drives `clang -Xclang -ast-dump=json` over
-compile_commands.json (CI), `micro` is a dependency-free scope-aware
-parser (local fallback; also what CTest pins). Lowered facts are cached
-per file keyed on (schema, frontend, flags hash, file hash) — raw AST
-dumps are ~100 MB per TU and are never kept.
+One tool for the static half of the determinism contract: every run
+must be a pure function of its seed. Each file is lexed once; nine
+token rules check project invariants in its token stream (raw engines,
+random_device, rand(), wall-clock time, unordered iteration, float in
+the double-only pipeline, literal seed streams, direct stack
+construction, whole-file trace reads), and four fact rules run over the
+facts the micro frontend lowers from every file: races and
+floating-point reductions in parallel regions (CORP-PAR-001/002), the
+cross-TU seed-stream audit (CORP-SEED-002) and double metric
+publication (CORP-OBS-002). See docs/static_analysis.md for the rule
+contract and the `// lint: <tag>` suppressions.
 
 Exit codes follow the corpsim convention: 0 clean, 1 findings (or
---expect mismatch), 2 usage/environment errors.
+--expect mismatch), 2 usage errors.
 
 Fixture mode (CTest):
 
-    python3 tools/analyze/corp_analyze.py --frontend micro \
+    python3 tools/analyze/corp_analyze.py \
         --expect CORP-PAR-001 fixtures/bad/corp_par_001_shared_write.cpp
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import shutil
 import sys
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 if __package__ in (None, ""):  # executed as a script, not a module
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from analyze.clang_frontend import (
-    AnalyzeError,
-    CompileEntry,
-    load_compile_db,
-    lower_ast,
-    parse_ast_json,
-    run_clang,
-)
-from analyze.micro_frontend import lower_file
-from analyze.model import (
-    FACTS_SCHEMA_VERSION,
-    Finding,
-    SuppressionIndex,
-    TUFacts,
-    merge_facts,
-)
+from analyze.lexer import tokenize
+from analyze.micro_frontend import lower
+from analyze.model import Finding, SuppressionIndex, merge_facts
 from analyze.rules import (
     RULES,
     RuleContext,
@@ -69,9 +44,15 @@ from analyze.rules import (
     run_rules,
 )
 
+#: Default scan roots (tests/ is exempt: test code legitimately pokes
+#: raw engines and literal streams at the API).
 DEFAULT_ROOTS = ("src", "bench", "tools")
 _CPP_EXTS = {".cpp", ".cc", ".cxx", ".hpp", ".h"}
 _REGISTRY_REL = Path("src/util/seed_streams.hpp")
+
+
+class AnalyzeError(Exception):
+    """A usage error: reported on stderr, exit 2."""
 
 
 def find_repo_root(start: Path) -> Path:
@@ -94,114 +75,6 @@ def iter_cpp_files(roots: Iterable[Path]) -> list[Path]:
     return files
 
 
-# --------------------------------------------------------------------------
-# Fact cache
-# --------------------------------------------------------------------------
-
-
-def _cache_key(frontend: str, flags: tuple[str, ...],
-               payload: bytes) -> str:
-    h = hashlib.sha256()
-    h.update(f"{FACTS_SCHEMA_VERSION}|{frontend}|".encode())
-    h.update("\x1f".join(flags).encode())
-    h.update(b"|")
-    h.update(hashlib.sha256(payload).digest())
-    return h.hexdigest()
-
-
-class FactCache:
-    def __init__(self, cache_dir: Path | None) -> None:
-        self.dir = cache_dir
-        self.hits = 0
-        self.misses = 0
-        if cache_dir is not None:
-            try:
-                cache_dir.mkdir(parents=True, exist_ok=True)
-            except OSError:
-                self.dir = None  # degrade to uncached
-
-    def load(self, key: str) -> TUFacts | None:
-        if self.dir is None:
-            return None
-        path = self.dir / f"{key}.json"
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        facts = TUFacts.from_json(data)
-        if facts is not None:
-            self.hits += 1
-        return facts
-
-    def store(self, key: str, facts: TUFacts) -> None:
-        self.misses += 1
-        if self.dir is None:
-            return
-        path = self.dir / f"{key}.json"
-        try:
-            path.write_text(json.dumps(facts.to_json(), sort_keys=True),
-                            encoding="utf-8")
-        except OSError:
-            pass
-
-
-# --------------------------------------------------------------------------
-# Frontend drivers
-# --------------------------------------------------------------------------
-
-
-def lower_micro(files: list[Path], cache: FactCache) -> list[TUFacts]:
-    per_tu: list[TUFacts] = []
-    for path in files:
-        try:
-            payload = path.read_bytes()
-        except OSError as err:
-            raise AnalyzeError(f"cannot read {path}: {err}") from err
-        key = _cache_key("micro", (), payload)
-        facts = cache.load(key)
-        if facts is None:
-            facts = lower_file(
-                str(path), payload.decode("utf-8", errors="replace"))
-            cache.store(key, facts)
-        per_tu.append(facts)
-    return per_tu
-
-
-def lower_clang(entries: list[CompileEntry], clang: str,
-                cache: FactCache, jobs: int,
-                in_repo_paths: set[Path]) -> list[TUFacts]:
-    def in_repo(path: str) -> bool:
-        try:
-            resolved = Path(path).resolve()
-        except OSError:
-            return False
-        return resolved in in_repo_paths
-
-    def one(entry: CompileEntry) -> TUFacts:
-        try:
-            payload = Path(entry.file).read_bytes()
-        except OSError as err:
-            raise AnalyzeError(
-                f"cannot read {entry.file}: {err}") from err
-        key = _cache_key("clang", entry.flags, payload)
-        facts = cache.load(key)
-        if facts is None:
-            root = run_clang(clang, entry)
-            facts = lower_ast(root, entry.file, in_repo)
-            cache.store(key, facts)
-        return facts
-
-    if jobs <= 1 or len(entries) <= 1:
-        return [one(e) for e in entries]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, entries))
-
-
-# --------------------------------------------------------------------------
-# CLI
-# --------------------------------------------------------------------------
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corp_analyze",
@@ -210,43 +83,14 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", type=Path,
         help="files or directories to analyze (default: src/ bench/ "
-             "tools/ under the repo root)")
+             "tools/ under the repo root, fixtures excluded)")
     parser.add_argument(
         "--root", type=Path, default=None,
         help="repo root (default: autodetected from this script)")
     parser.add_argument(
-        "--frontend", choices=("auto", "clang", "micro"),
-        default="auto",
-        help="auto picks clang when the binary and compile database "
-             "are both available, micro otherwise")
-    parser.add_argument(
-        "--compile-db", type=Path, default=None,
-        help="compile_commands.json (default: <root>/build/"
-             "compile_commands.json; required by the clang frontend)")
-    parser.add_argument(
-        "--clang", default="clang",
-        help="clang binary for the clang frontend (default: clang)")
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="lowered-facts cache directory (default: <root>/build/"
-             "analyze-cache; pass an empty string to disable)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the lowered-facts cache")
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel clang invocations (default: 1)")
-    parser.add_argument(
-        "--rule", action="append", metavar="RULE_ID", default=None,
-        help="only evaluate this rule (repeatable)")
-    parser.add_argument(
         "--expect", metavar="RULE_ID", default=None,
         help="fixture mode: exit 0 iff at least one finding of exactly "
              "this rule fires and no other rule does")
-    parser.add_argument(
-        "--ast-json", type=Path, default=None, metavar="DUMP",
-        help="lower a pre-dumped clang AST JSON file instead of "
-             "invoking clang (exercises the clang-frontend walker)")
     parser.add_argument(
         "--json", type=Path, default=None, metavar="OUT",
         help="also write findings as JSON (CI artifact)")
@@ -256,12 +100,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _select_files(args: argparse.Namespace,
+def _select_files(paths: list[Path],
                   root: Path) -> tuple[list[Path], bool]:
     """(files, full_tree). Fixture corpora are excluded from default
-    tree scans, mirroring corp_lint."""
-    if args.paths:
-        return iter_cpp_files(args.paths), False
+    tree scans."""
+    if paths:
+        missing = [p for p in paths if not p.exists()]
+        if missing:
+            raise AnalyzeError(
+                "no such file or directory: "
+                + ", ".join(map(str, missing)))
+        return iter_cpp_files(paths), False
     roots = [root / name for name in DEFAULT_ROOTS]
     missing = [r for r in roots if not r.is_dir()]
     if missing:
@@ -272,12 +121,19 @@ def _select_files(args: argparse.Namespace,
     return files, True
 
 
-def _write_json(out: Path, findings: list[Finding],
-                frontend: str, cache: FactCache) -> None:
+def _read_sources(files: list[Path]) -> dict[str, str]:
+    texts: dict[str, str] = {}
+    for path in files:
+        try:
+            texts[str(path)] = path.read_text(
+                encoding="utf-8", errors="replace")
+        except OSError as err:
+            raise AnalyzeError(f"cannot read {path}: {err}") from err
+    return texts
+
+
+def _write_json(out: Path, findings: list[Finding]) -> None:
     payload = {
-        "schema": FACTS_SCHEMA_VERSION,
-        "frontend": frontend,
-        "cache": {"hits": cache.hits, "misses": cache.misses},
         "findings": [
             {"path": f.path, "line": f.line, "rule": f.rule,
              "message": f.message}
@@ -297,122 +153,38 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{rule_id}  {summary}  (suppress: // lint: {tag})")
         return 0
 
-    for rule_id in [*(args.rule or []),
-                    *([args.expect] if args.expect else [])]:
-        if rule_id not in RULES:
-            print(f"corp_analyze: unknown rule id {rule_id!r}",
-                  file=sys.stderr)
-            return 2
+    if args.expect is not None and args.expect not in RULES:
+        print(f"corp_analyze: unknown rule id {args.expect!r}",
+              file=sys.stderr)
+        return 2
 
     root = (args.root or
             find_repo_root(Path(__file__).resolve().parent)).resolve()
-
-    cache_dir: Path | None
-    if args.no_cache or (args.cache_dir is not None and
-                         str(args.cache_dir) == ""):
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = root / "build" / "analyze-cache"
-    cache = FactCache(cache_dir)
-
     try:
-        files, full_tree = _select_files(args, root)
-
-        if args.ast_json is not None:
-            frontend = "clang"
-            try:
-                text = args.ast_json.read_text(encoding="utf-8")
-            except OSError as err:
-                print(f"corp_analyze: cannot read AST dump "
-                      f"{args.ast_json}: {err}", file=sys.stderr)
-                return 2
-            ast_root = parse_ast_json(text, source=str(args.ast_json))
-            per_tu = [lower_ast(ast_root, str(args.ast_json),
-                                lambda _p: True)]
-            full_tree = False
-        else:
-            frontend = args.frontend
-            compile_db = args.compile_db or \
-                root / "build" / "compile_commands.json"
-            if frontend == "auto":
-                frontend = "clang" if (
-                    shutil.which(args.clang) and compile_db.is_file()
-                ) else "micro"
-            if frontend == "clang":
-                by_file: dict[Path, CompileEntry] = {}
-                if compile_db.is_file():
-                    by_file = {Path(e.file).resolve(): e
-                               for e in load_compile_db(compile_db)}
-                elif full_tree:
-                    raise AnalyzeError(
-                        f"compile database not found: {compile_db}; "
-                        f"configure with -DCMAKE_EXPORT_COMPILE_"
-                        f"COMMANDS=ON or use --frontend micro")
-                if shutil.which(args.clang) is None:
-                    print(f"corp_analyze: clang binary not found "
-                          f"({args.clang!r}); pass --clang or use "
-                          f"--frontend micro", file=sys.stderr)
-                    return 2
-                wanted = {p.resolve() for p in files}
-                entries: list[CompileEntry] = []
-                for path in files:
-                    if path.suffix in (".hpp", ".h"):
-                        continue
-                    resolved = path.resolve()
-                    entry = by_file.get(resolved)
-                    if entry is None and not full_tree:
-                        # Fixtures and ad-hoc files are not built:
-                        # parse them standalone.
-                        entry = CompileEntry(file=str(resolved),
-                                             flags=("-std=c++20",))
-                    if entry is not None:
-                        entries.append(entry)
-                per_tu = lower_clang(
-                    entries, args.clang, cache, max(1, args.jobs),
-                    wanted)
-                # Headers are only seen through the TUs that include
-                # them; still scan them with the micro frontend so
-                # header-only facts (metric names, seed helpers) are
-                # not silently dropped when no TU in the compile DB
-                # pulls them in.
-                headers = [p for p in files
-                           if p.suffix in (".hpp", ".h")]
-                per_tu.extend(lower_micro(headers, cache))
-            else:
-                per_tu = lower_micro(files, cache)
-
-        merged = merge_facts(per_tu)
-
-        registry_path = root / _REGISTRY_REL
-        registry = load_registry(registry_path)
-        sources: dict[str, str] = {}
-        for path in files:
-            try:
-                sources[str(path)] = path.read_text(
-                    encoding="utf-8", errors="replace")
-            except OSError:
-                continue
-        ctx = RuleContext(
-            facts=merged,
-            registry=registry,
-            registry_path=str(registry_path),
-            tag_uses=count_tag_uses(registry, sources,
-                                    str(registry_path)),
-            full_tree=full_tree,
-            suppressions=SuppressionIndex(),
-        )
-        only = frozenset(args.rule) if args.rule else None
-        findings = run_rules(ctx, only)
+        files, full_tree = _select_files(args.paths, root)
+        texts = _read_sources(files)
     except AnalyzeError as err:
         print(f"corp_analyze: {err}", file=sys.stderr)
         return 2
 
+    sources = [tokenize(path, text) for path, text in texts.items()]
+    registry_path = root / _REGISTRY_REL
+    registry = load_registry(registry_path)
+    findings = run_rules(RuleContext(
+        sources=sources,
+        facts=merge_facts([lower(src) for src in sources]),
+        suppressions=SuppressionIndex(
+            {src.path: src.comments for src in sources}),
+        registry=registry,
+        registry_path=str(registry_path),
+        tag_uses=count_tag_uses(registry, texts, str(registry_path)),
+        full_tree=full_tree,
+    ))
+
     for finding in findings:
         print(finding.render())
     if args.json is not None:
-        _write_json(args.json, findings, frontend, cache)
+        _write_json(args.json, findings)
 
     if args.expect is not None:
         fired = {f.rule for f in findings}
@@ -425,13 +197,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
     if findings:
-        print(f"corp_analyze: {len(findings)} finding(s) "
-              f"[frontend={frontend}, cache {cache.hits} hit(s) / "
-              f"{cache.misses} miss(es)]", file=sys.stderr)
+        print(f"corp_analyze: {len(findings)} finding(s) in "
+              f"{len(sources)} file(s)", file=sys.stderr)
         return 1
-    print(f"corp_analyze: clean ({len(per_tu)} unit(s), "
-          f"frontend={frontend}, cache {cache.hits} hit(s) / "
-          f"{cache.misses} miss(es))")
+    print(f"corp_analyze: clean ({len(sources)} file(s) scanned)")
     return 0
 
 

@@ -1,5 +1,5 @@
-// Clean corpus: near-miss patterns that must NOT trip any corp_lint rule.
-// The linter's CTest entry runs this directory and requires exit 0.
+// Clean corpus: near-miss patterns that must NOT trip any token rule.
+// The analyzer's good-corpus CTest runs this directory and requires exit 0.
 #include <chrono>
 #include <cstdint>
 #include <map>

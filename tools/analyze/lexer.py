@@ -1,17 +1,16 @@
-"""C++ token stream for the analyzer's micro frontend.
+"""C++ token stream shared by the token rules and the micro frontend.
 
-A richer cousin of corp_lint's tokenizer: compound assignment operators
-are single tokens (the lint layer never needed them; write detection
-does), and the lambda capture-list parser here is shared with the clang
-frontend, which re-lexes the capture list from the source slice at the
-lambda's begin location (clang's JSON dump does not serialize capture
-modes).
+Comments are not tokens: their text is kept per end line, which is all
+the suppression index reads, so a `lint: <tag>` inside a string literal
+never silences a finding. Compound assignment operators are single
+tokens (write detection needs them). The lambda capture-list parser
+lives here too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _TOKEN_RE = re.compile(
     r"""
@@ -39,18 +38,29 @@ class Token:
     line: int
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+@dataclass
+class SourceFile:
+    path: str
+    tokens: list[Token] = field(default_factory=list)
+    #: line -> concatenated text of the comments ending on that line
+    comments: dict[int, str] = field(default_factory=dict)
+
+
+def tokenize(path: str, text: str) -> SourceFile:
+    src = SourceFile(path)
     line = 1
     pos = 0
     for match in _TOKEN_RE.finditer(text):
         line += text.count("\n", pos, match.start())
         pos = match.start()
         kind = match.lastgroup
-        if kind == "comment" or kind is None:
-            continue
-        tokens.append(Token(kind, match.group(), line))
-    return tokens
+        value = match.group()
+        if kind == "comment":
+            end_line = line + value.count("\n")
+            src.comments[end_line] = src.comments.get(end_line, "") + value
+        elif kind is not None:
+            src.tokens.append(Token(kind, value, line))
+    return src
 
 
 _CLOSER = {"(": ")", "[": "]", "{": "}"}
@@ -70,22 +80,6 @@ def match_forward(tokens: list[Token], open_idx: int) -> int:
             if depth == 0:
                 return i
     return len(tokens)
-
-
-def match_backward(tokens: list[Token], close_idx: int) -> int:
-    """Index of the token opening the bracket closed at `close_idx`."""
-    closer = tokens[close_idx].text
-    opener = {v: k for k, v in _CLOSER.items()}[closer]
-    depth = 0
-    for i in range(close_idx, -1, -1):
-        text = tokens[i].text
-        if text == closer:
-            depth += 1
-        elif text == opener:
-            depth -= 1
-            if depth == 0:
-                return i
-    return 0
 
 
 @dataclass(frozen=True)
@@ -121,15 +115,13 @@ class CaptureList:
         return True
 
 
-def parse_capture_list(text: str) -> CaptureList:
-    """Parses the `[...]` lambda introducer at the start of `text`.
+def parse_capture_list(tokens: list[Token]) -> CaptureList:
+    """Parses the `[...]` lambda introducer at the start of `tokens`.
 
     Tolerant: unknown shapes degrade to the hazard-prone reading (shared
-    by reference) rather than failing, so a frontend can feed it a
-    source slice without pre-validating.
+    by reference) rather than failing.
     """
     parsed = CaptureList(default="", captures=[])
-    tokens = tokenize(text)
     if not tokens or tokens[0].text != "[":
         return CaptureList(default="&", captures=[])
     end = match_forward(tokens, 0)

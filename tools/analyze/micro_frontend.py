@@ -1,33 +1,34 @@
-"""Scope-aware fallback frontend (no clang required).
+"""Scope-aware micro frontend: lowers one C++ file to ``TUFacts``.
 
-Lowers one C++ file to ``TUFacts`` using a token-level parse that
-understands just enough structure for the Layer-3 rules: function and
-namespace scopes, lambda introducers (capture defaults, explicit
-captures, parameters), declaration vs. assignment, postfix lvalue
-chains, and one-hop forwarding wrappers around
+A token-level parse that understands just enough structure for the
+fact rules: function and namespace scopes, lambda introducers (capture
+defaults, explicit captures, parameters), declaration vs. assignment,
+postfix lvalue chains, and one-hop forwarding wrappers around
 ``util::ThreadPool::parallel_for``/``submit`` (the `for_each_shard`
 idiom in sim::ShardEngine).
 
-The clang frontend sees real types and real name lookup; this one
-approximates both from token context. Where it cannot decide it errs
-toward the *hazardous* reading for capture modes (so fixtures fire
-without type info) and toward silence for write shapes it cannot parse
-(so the tree scan does not drown in noise). The differential fixture
-corpus pins both frontends to the same verdicts.
+There is no name lookup or type checking: scopes and types come from
+token context. Where it cannot decide it errs toward the *hazardous*
+reading for capture modes (so fixtures fire without type info) and
+toward silence for write shapes it cannot parse (so the tree scan does
+not drown in noise). One known approximation: a variable's type is the
+text of its declaration, so `auto sum = 0.0; ... sum += x[i];` inside a
+parallel region is not seen as floating point and is reported as
+CORP-PAR-001 rather than CORP-PAR-002 (still a failing finding).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from analyze.lexer import (
     COMPOUND_ASSIGN,
     CaptureList,
+    SourceFile,
     Token,
     looks_member,
     match_forward,
     parse_capture_list,
-    tokenize,
 )
 from analyze.model import MetricSite, ParallelWrite, SeedSite, TUFacts
 
@@ -115,9 +116,9 @@ def _part_name(part: list[Token]) -> list[str]:
 
 
 class MicroFrontend:
-    def __init__(self, path: str, text: str) -> None:
-        self.path = path
-        self.tokens = tokenize(text)
+    def __init__(self, src: SourceFile) -> None:
+        self.path = src.path
+        self.tokens = src.tokens
         self.lambdas: list[LambdaInfo] = []
         self.lambda_vars: dict[str, LambdaInfo] = {}
         self.functions: list[FuncSpan] = []
@@ -166,12 +167,10 @@ class MicroFrontend:
                 i = intro_end + 1
                 continue
             body_close = match_forward(toks, j)
-            intro_text = " ".join(
-                t.text for t in toks[i:intro_end + 1])
             lam = LambdaInfo(
                 intro_idx=i, intro_end=intro_end, params=params,
                 body_open=j, body_close=body_close, line=toks[i].line,
-                captures=parse_capture_list(intro_text))
+                captures=parse_capture_list(toks[i:intro_end + 1]))
             if i >= 2 and toks[i - 1].text == "=" and \
                     toks[i - 2].kind == "ident":
                 lam.var_name = toks[i - 2].text
@@ -663,7 +662,7 @@ class MicroFrontend:
     # -- driver ------------------------------------------------------------
 
     def lower(self) -> TUFacts:
-        facts = TUFacts(source=self.path)
+        facts = TUFacts()
         self._scan_lambdas()
         self._scan_functions()
         for region in self._regions():
@@ -673,11 +672,5 @@ class MicroFrontend:
         return facts
 
 
-@dataclass
-class MicroResult:
-    facts: TUFacts
-    errors: list[str] = field(default_factory=list)
-
-
-def lower_file(path: str, text: str) -> TUFacts:
-    return MicroFrontend(path, text).lower()
+def lower(src: SourceFile) -> TUFacts:
+    return MicroFrontend(src).lower()

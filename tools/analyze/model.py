@@ -1,29 +1,20 @@
-"""Frontend-agnostic facts, findings and helpers for corp_analyze.
+"""Facts, findings and suppressions for corp_analyze.
 
-Both frontends (the clang AST-JSON lowering and the micro fallback
-parser) reduce a translation unit to the same small ``TUFacts`` record;
-the rules in ``rules.py`` only ever see that record, so a rule fires
-identically no matter which frontend produced the facts. TUFacts is
-round-trippable through JSON — that is what the analyzer caches per
-file, keyed on (source hash, flags hash).
+The micro frontend reduces each file to a small ``TUFacts`` record; the
+fact rules in ``rules.py`` only ever see the merged record.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
-
-#: Bump when the fact schema or the lowering semantics change: stale
-#: cache entries must not satisfy a newer analyzer.
-FACTS_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
 class ParallelWrite:
     """A hazardous write inside a parallel-region lambda.
 
-    Frontends only emit writes that are already classified as hazardous:
+    The frontend only emits writes already classified as hazardous:
     the target is captured by reference (or is reachable shared state),
     is not declared inside the lambda, and no subscript on the access
     path involves the loop/shard variable or a value derived from it.
@@ -72,34 +63,9 @@ class RegistryTag:
 class TUFacts:
     """Everything one translation unit contributes to the rules."""
 
-    source: str
     writes: list[ParallelWrite] = field(default_factory=list)
     seeds: list[SeedSite] = field(default_factory=list)
     metrics: list[MetricSite] = field(default_factory=list)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema": FACTS_SCHEMA_VERSION,
-            "source": self.source,
-            "writes": [asdict(w) for w in self.writes],
-            "seeds": [asdict(s) for s in self.seeds],
-            "metrics": [asdict(m) for m in self.metrics],
-        }
-
-    @staticmethod
-    def from_json(data: dict[str, Any]) -> TUFacts | None:
-        """None when the payload is from a different schema version."""
-        if data.get("schema") != FACTS_SCHEMA_VERSION:
-            return None
-        try:
-            return TUFacts(
-                source=str(data["source"]),
-                writes=[ParallelWrite(**w) for w in data["writes"]],
-                seeds=[SeedSite(**s) for s in data["seeds"]],
-                metrics=[MetricSite(**m) for m in data["metrics"]],
-            )
-        except (KeyError, TypeError):
-            return None
 
 
 @dataclass(frozen=True)
@@ -114,14 +80,9 @@ class Finding:
 
 
 def merge_facts(per_tu: list[TUFacts]) -> TUFacts:
-    """Union of facts across TUs, deduplicated by site.
-
-    Facts discovered in headers are re-seen from every TU that includes
-    them (and template bodies from every instantiating TU); a site is
-    identified by its (file, line, payload) so the merge is stable no
-    matter how many TUs report it.
-    """
-    merged = TUFacts(source="<merged>")
+    """Union of per-file facts in a stable order, deduplicated by site:
+    a site reported twice, by (file, line, payload), counts once."""
+    merged = TUFacts()
     merged.writes = sorted(
         {w for facts in per_tu for w in facts.writes},
         key=lambda w: (w.file, w.line, w.var, w.op))
@@ -155,33 +116,21 @@ def subsystem_of(path: str) -> str:
 
 
 class SuppressionIndex:
-    """Per-rule `// lint: <tag>` suppressions, same scheme as corp_lint.
+    """Per-rule `// lint: <tag>` suppressions, read from comments only.
 
-    A justification comment on the finding line or the line directly
-    above silences the rule; the tag is rule-specific so the comment
-    documents *why* the pattern is safe.
+    A justification comment ending on the finding line or the line
+    directly above silences the rule; the tag is rule-specific so the
+    comment documents *why* the pattern is safe. A tag inside a string
+    literal is code, not a justification, and never counts.
     """
 
-    def __init__(self) -> None:
-        self._lines: dict[str, list[str]] = {}
-
-    def _file_lines(self, path: str) -> list[str]:
-        cached = self._lines.get(path)
-        if cached is not None:
-            return cached
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            text = ""
-        lines = text.splitlines()
-        self._lines[path] = lines
-        return lines
+    def __init__(self, comments: dict[str, dict[int, str]]) -> None:
+        self._comments = comments  # path -> end line -> comment text
 
     def justified(self, path: str, line: int, tag: str) -> bool:
-        lines = self._file_lines(path)
+        by_line = self._comments.get(path, {})
         for probe in (line, line - 1):
-            if 1 <= probe <= len(lines):
-                text = lines[probe - 1]
-                if f"lint: {tag}" in text or f"lint:{tag}" in text:
-                    return True
+            text = by_line.get(probe, "")
+            if f"lint: {tag}" in text or f"lint:{tag}" in text:
+                return True
         return False

@@ -1,19 +1,21 @@
-"""Rule evaluation over merged TUFacts.
+"""The rule table and rule evaluation.
 
-Rules never look at source syntax — frontends already reduced each TU
-to facts — so every rule fires identically under the clang and micro
-frontends. Suppression (`// lint: <tag>`) is applied here because one
-rule (CORP-OBS-002) has group semantics: a justification at any site of
-a shared metric documents the sharing decision for the whole group.
+Token rules (``token_rules.py``) see one file's tokens; fact rules see
+the facts the micro frontend lowered from every scanned file, merged.
+Suppression (`// lint: <tag>`) is applied here for both kinds, because
+one fact rule (CORP-OBS-002) has group semantics: a justification at
+any site of a shared metric documents the sharing decision for the
+whole group.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from analyze.lexer import SourceFile
 from analyze.model import (
     Finding,
     RegistryTag,
@@ -21,9 +23,27 @@ from analyze.model import (
     TUFacts,
     subsystem_of,
 )
+from analyze.token_rules import CHECKS
 
 #: Rule id -> (suppression tag, one-line summary).
 RULES: dict[str, tuple[str, str]] = {
+    "CORP-RNG-001": ("raw-engine",
+                     "raw std:: random engine outside util/rng"),
+    "CORP-RNG-002": ("entropy-source",
+                     "std::random_device nondeterministic entropy"),
+    "CORP-RNG-003": ("c-rand", "C rand()/srand() hidden global generator"),
+    "CORP-TIME-001": ("wall-clock",
+                      "wall-clock time in result-affecting code"),
+    "CORP-ORD-001": ("sorted-gather",
+                     "iteration over unordered container"),
+    "CORP-FLT-001": ("float-ok",
+                     "float in the double-only prediction pipeline"),
+    "CORP-SEED-001": ("literal-stream",
+                      "derive_seed stream tag is a bare literal"),
+    "CORP-API-001": ("stack-direct",
+                     "direct prediction-stack construction"),
+    "CORP-IO-001": ("streaming-io",
+                    "whole-file getline read in trace-ingest code"),
     "CORP-PAR-001": (
         "par-staged",
         "parallel-region lambda writes shared state not indexed by the "
@@ -91,20 +111,26 @@ def count_tag_uses(registry: list[RegistryTag],
 
 @dataclass
 class RuleContext:
+    sources: list[SourceFile]
     facts: TUFacts
-    registry: list[RegistryTag] = field(default_factory=list)
-    registry_path: str = ""
-    tag_uses: dict[str, int] = field(default_factory=dict)
+    suppressions: SuppressionIndex
+    registry: list[RegistryTag]
+    registry_path: str
+    tag_uses: dict[str, int]
     #: Registry-coverage check only makes sense over the whole tree;
     #: explicit-path / fixture runs see a slice of the call sites.
-    full_tree: bool = False
-    suppressions: SuppressionIndex = field(
-        default_factory=SuppressionIndex)
+    full_tree: bool
 
 
 def _suppressed(ctx: RuleContext, finding: Finding) -> bool:
     tag = RULES[finding.rule][0]
     return ctx.suppressions.justified(finding.path, finding.line, tag)
+
+
+def _token_rules(ctx: RuleContext) -> list[Finding]:
+    findings = [f for src in ctx.sources for check in CHECKS
+                for f in check(src)]
+    return [f for f in findings if not _suppressed(ctx, f)]
 
 
 def _par_rules(ctx: RuleContext) -> list[Finding]:
@@ -231,13 +257,11 @@ def _obs_rules(ctx: RuleContext) -> list[Finding]:
     return findings
 
 
-def run_rules(ctx: RuleContext,
-              only: frozenset[str] | None = None) -> list[Finding]:
+def run_rules(ctx: RuleContext) -> list[Finding]:
     findings: list[Finding] = []
+    findings.extend(_token_rules(ctx))
     findings.extend(_par_rules(ctx))
     findings.extend(_seed_rules(ctx))
     findings.extend(_obs_rules(ctx))
-    if only is not None:
-        findings = [f for f in findings if f.rule in only]
     return sorted(findings,
                   key=lambda f: (f.path, f.line, f.rule, f.message))

@@ -1,22 +1,15 @@
-#!/usr/bin/env python3
-"""corp_lint: determinism lint for the CORP C++ tree.
+"""Per-file token rules: project invariants visible in one token stream.
 
-The repo's core contract — parallel replication is bit-identical to
-serial, and all-zero fault configs are inert — is enforced at runtime by
-tests, but a single stray ``std::random_device``, unordered-container
-iteration, or silent float/double mixing in the prediction pipeline can
-break Fig.-level reproduction without any test noticing until a replica
-diverges.  This linter catches those project invariants statically, at
-the token level (it is not fooled by string literals or comments).
-
-Rules (see docs/static_analysis.md for the full contract):
+Each check walks one file's tokens and yields findings; suppression is
+applied afterwards by ``rules.run_rules`` through the shared comment
+index, with the tag the rule table assigns.
 
   CORP-RNG-001  raw std:: random engine construction outside util/rng
   CORP-RNG-002  std::random_device (nondeterministic entropy source)
   CORP-RNG-003  C rand()/srand() (hidden global generator)
   CORP-TIME-001 wall-clock time in result-affecting code
   CORP-ORD-001  iteration over an unordered container (hash order leaks
-                into results) without a sorted-gather justification
+                into results)
   CORP-FLT-001  `float` in the dnn/hmm/predict numeric pipeline, which
                 is double-only by design (silent precision loss)
   CORP-SEED-001 util::derive_seed called with a bare integer literal as
@@ -27,121 +20,15 @@ Rules (see docs/static_analysis.md for the full contract):
   CORP-IO-001   getline loop accumulating rows into a container in
                 trace-ingest code (unbounded whole-file read; production
                 traces are multi-GB and must stream)
-
-Suppressions are per-rule comments on the offending line or the line
-directly above it, e.g. ``// lint: sorted-gather``.  Each rule names its
-own justification tag so a suppression documents *why* the pattern is
-safe, not just that the linter should be quiet.
-
-Exit status: 0 when clean, 1 on violations, 2 on usage errors.
-
-Usage:
-    python3 tools/lint/corp_lint.py                 # scan src/ bench/ tools/
-    python3 tools/lint/corp_lint.py path1 path2 ...  # scan specific paths
-    python3 tools/lint/corp_lint.py --expect CORP-RNG-002 fixture.cpp
-    python3 tools/lint/corp_lint.py --list-rules
-
-Only the Python standard library is used.
 """
 
 from __future__ import annotations
 
-import argparse
-import re
-import sys
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 
-# --------------------------------------------------------------------------
-# Tokenizer
-# --------------------------------------------------------------------------
-
-#: Token kinds: identifiers, numbers, punctuation, string/char literals.
-#: Comments are not emitted as tokens; their text is collected per line so
-#: rules can look up justification tags.
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<comment>//[^\n]*|/\*.*?\*/)
-    | (?P<string>L?R?"(?:\\.|[^"\\\n])*"|L?'(?:\\.|[^'\\\n])*')
-    | (?P<number>(?:0[xX][0-9a-fA-F']+|\d[\d']*(?:\.\d*)?(?:[eE][-+]?\d+)?)
-                 [uUlLfF]*)
-    | (?P<ident>[A-Za-z_]\w*)
-    | (?P<punct>::|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
-                |[-+*/%&|^~!<>=?:;,.(){}\[\]])
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-# Raw strings with custom delimiters are rare in this tree; the plain
-# string branch above covers every literal the code base uses.
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "number" | "punct" | "string"
-    text: str
-    line: int
-
-
-@dataclass
-class SourceFile:
-    path: Path
-    tokens: list[Token] = field(default_factory=list)
-    #: line -> concatenated comment text ending on that line
-    comments: dict[int, str] = field(default_factory=dict)
-
-    def justified(self, line: int, tag: str) -> bool:
-        """True if `// lint: <tag>` appears on `line` or the line above."""
-        for probe in (line, line - 1):
-            text = self.comments.get(probe, "")
-            if f"lint: {tag}" in text or f"lint:{tag}" in text:
-                return True
-        return False
-
-
-def tokenize(path: Path, text: str) -> SourceFile:
-    src = SourceFile(path)
-    line = 1
-    pos = 0
-    for match in _TOKEN_RE.finditer(text):
-        line += text.count("\n", pos, match.start())
-        pos = match.start()
-        kind = match.lastgroup
-        value = match.group()
-        if kind == "comment":
-            end_line = line + value.count("\n")
-            src.comments[end_line] = src.comments.get(end_line, "") + value
-        elif kind is not None:
-            src.tokens.append(Token(kind, value, line))
-    return src
-
-
-# --------------------------------------------------------------------------
-# Rule infrastructure
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Violation:
-    path: Path
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: {self.rule}: {self.message}"
-
-
-RuleFn = Callable[[SourceFile], Iterator[Violation]]
-
-
-@dataclass(frozen=True)
-class Rule:
-    rule_id: str
-    summary: str
-    tag: str  # justification tag accepted by this rule
-    check: RuleFn
+from analyze.lexer import SourceFile, Token, match_forward
+from analyze.model import Finding
 
 
 def _seq(tokens: Sequence[Token], i: int, *texts: str) -> bool:
@@ -175,10 +62,6 @@ def _is_call(tokens: Sequence[Token], i: int) -> bool:
     return True
 
 
-# --------------------------------------------------------------------------
-# Rules
-# --------------------------------------------------------------------------
-
 _RAW_ENGINES = (
     "mt19937",
     "mt19937_64",
@@ -194,12 +77,11 @@ _RAW_ENGINES = (
 _RNG_HOME = ("util/rng.hpp", "util/rng.cpp")
 
 
-def _in_rng_home(path: Path) -> bool:
-    text = str(path)
-    return any(text.endswith(suffix) for suffix in _RNG_HOME)
+def _in_rng_home(path: str) -> bool:
+    return any(path.endswith(suffix) for suffix in _RNG_HOME)
 
 
-def check_raw_engine(src: SourceFile) -> Iterator[Violation]:
+def check_raw_engine(src: SourceFile) -> Iterator[Finding]:
     if _in_rng_home(src.path):
         return
     for i, tok in enumerate(src.tokens):
@@ -208,38 +90,32 @@ def check_raw_engine(src: SourceFile) -> Iterator[Violation]:
         # Only std:: engines count; a project type named e.g. mt19937
         # elsewhere would be its own design problem but not this rule.
         if i >= 2 and _seq(src.tokens, i - 2, "std", "::"):
-            if src.justified(tok.line, "raw-engine"):
-                continue
-            yield Violation(
+            yield Finding(
                 src.path, tok.line, "CORP-RNG-001",
                 f"raw std::{tok.text} outside util/rng — all stochastic "
                 "code must draw from util::Rng / util::derive_seed "
                 "(justify with `// lint: raw-engine`)")
 
 
-def check_random_device(src: SourceFile) -> Iterator[Violation]:
+def check_random_device(src: SourceFile) -> Iterator[Finding]:
     for i, tok in enumerate(src.tokens):
         if tok.kind == "ident" and tok.text == "random_device":
             if i >= 2 and not _seq(src.tokens, i - 2, "std", "::"):
                 continue
-            if src.justified(tok.line, "entropy-source"):
-                continue
-            yield Violation(
+            yield Finding(
                 src.path, tok.line, "CORP-RNG-002",
                 "std::random_device is nondeterministic — experiments "
                 "must be replayable from an explicit seed (justify with "
                 "`// lint: entropy-source`)")
 
 
-def check_c_rand(src: SourceFile) -> Iterator[Violation]:
+def check_c_rand(src: SourceFile) -> Iterator[Finding]:
     for i, tok in enumerate(src.tokens):
         if tok.kind != "ident" or tok.text not in ("rand", "srand"):
             continue
         if not _is_call(src.tokens, i):
             continue
-        if src.justified(tok.line, "c-rand"):
-            continue
-        yield Violation(
+        yield Finding(
             src.path, tok.line, "CORP-RNG-003",
             f"C {tok.text}() uses a hidden global generator — draw from "
             "util::Rng instead (justify with `// lint: c-rand`)")
@@ -249,7 +125,7 @@ _WALL_CLOCK_IDENTS = ("system_clock", "gettimeofday", "localtime", "gmtime",
                       "localtime_r", "gmtime_r", "strftime")
 
 
-def check_wall_clock(src: SourceFile) -> Iterator[Violation]:
+def check_wall_clock(src: SourceFile) -> Iterator[Finding]:
     for i, tok in enumerate(src.tokens):
         if tok.kind != "ident":
             continue
@@ -263,9 +139,7 @@ def check_wall_clock(src: SourceFile) -> Iterator[Violation]:
             hit = f"{tok.text}()"
         if hit is None:
             continue
-        if src.justified(tok.line, "wall-clock"):
-            continue
-        yield Violation(
+        yield Finding(
             src.path, tok.line, "CORP-TIME-001",
             f"wall-clock source `{hit}` in result-affecting code — results "
             "must be a function of the seed only; steady_clock is fine for "
@@ -313,7 +187,7 @@ def _unordered_names(src: SourceFile) -> set[str]:
     return names
 
 
-def check_unordered_iteration(src: SourceFile) -> Iterator[Violation]:
+def check_unordered_iteration(src: SourceFile) -> Iterator[Finding]:
     names = _unordered_names(src)
     if not names:
         return
@@ -345,9 +219,7 @@ def check_unordered_iteration(src: SourceFile) -> Iterator[Violation]:
         iterated = sorted(range_names & names)
         if not iterated:
             continue
-        if src.justified(tok.line, "sorted-gather"):
-            continue
-        yield Violation(
+        yield Finding(
             src.path, tok.line, "CORP-ORD-001",
             f"iteration over unordered container `{iterated[0]}` — hash "
             "order is implementation-defined and leaks into results; sort "
@@ -359,31 +231,25 @@ def check_unordered_iteration(src: SourceFile) -> Iterator[Violation]:
 _DOUBLE_ONLY_DIRS = ("dnn", "hmm", "predict")
 
 
-def _in_double_only_dir(path: Path) -> bool:
-    parts = path.parts
-    return any(d in parts for d in _DOUBLE_ONLY_DIRS)
-
-
-def check_float_in_pipeline(src: SourceFile) -> Iterator[Violation]:
-    if not _in_double_only_dir(src.path):
+def check_float_in_pipeline(src: SourceFile) -> Iterator[Finding]:
+    parts = Path(src.path).parts
+    if not any(d in parts for d in _DOUBLE_ONLY_DIRS):
         return
-    for i, tok in enumerate(src.tokens):
+    for tok in src.tokens:
         is_float_kw = tok.kind == "ident" and tok.text == "float"
         is_float_lit = tok.kind == "number" and tok.text[-1] in "fF" and \
             not tok.text.lower().startswith("0x")
         if not (is_float_kw or is_float_lit):
             continue
-        if src.justified(tok.line, "float-ok"):
-            continue
         what = "`float`" if is_float_kw else f"float literal {tok.text}"
-        yield Violation(
+        yield Finding(
             src.path, tok.line, "CORP-FLT-001",
             f"{what} in the double-only prediction pipeline — mixed "
             "float/double accumulators silently lose precision and break "
             "bit-identical replication (justify with `// lint: float-ok`)")
 
 
-def check_seed_stream_tag(src: SourceFile) -> Iterator[Violation]:
+def check_seed_stream_tag(src: SourceFile) -> Iterator[Finding]:
     if _in_rng_home(src.path):
         return  # the implementation composes itself with raw integers
     toks = src.tokens
@@ -415,9 +281,7 @@ def check_seed_stream_tag(src: SourceFile) -> Iterator[Violation]:
         # Stream tags are argument 2 (and 3 when present).
         for arg in args[1:]:
             if len(arg) == 1 and arg[0].kind == "number":
-                if src.justified(arg[0].line, "literal-stream"):
-                    continue
-                yield Violation(
+                yield Finding(
                     src.path, arg[0].line, "CORP-SEED-001",
                     f"derive_seed stream tag is a bare literal "
                     f"`{arg[0].text}` — use a named stream constant "
@@ -434,13 +298,8 @@ _STACK_HOME = ("predict/stacks.hpp", "predict/stacks.cpp",
                "predict/stack_builder.hpp", "predict/stack_builder.cpp")
 
 
-def _in_stack_home(path: Path) -> bool:
-    text = str(path)
-    return any(text.endswith(suffix) for suffix in _STACK_HOME)
-
-
-def check_direct_stack_construction(src: SourceFile) -> Iterator[Violation]:
-    if _in_stack_home(src.path):
+def check_direct_stack_construction(src: SourceFile) -> Iterator[Finding]:
+    if any(src.path.endswith(suffix) for suffix in _STACK_HOME):
         return
     toks = src.tokens
     for i, tok in enumerate(toks):
@@ -463,9 +322,7 @@ def check_direct_stack_construction(src: SourceFile) -> Iterator[Violation]:
             constructed = True  # local/member: CorpStack stack(...)
         if not constructed:
             continue
-        if src.justified(tok.line, "stack-direct"):
-            continue
-        yield Violation(
+        yield Finding(
             src.path, tok.line, "CORP-API-001",
             f"direct {tok.text} construction — build stacks through "
             "predict::StackBuilder (or make_stack) so options are "
@@ -477,11 +334,7 @@ def check_direct_stack_construction(src: SourceFile) -> Iterator[Violation]:
 _STREAMING_IO_DIRS = ("trace",)
 
 
-def _in_streaming_io_dir(path: Path) -> bool:
-    return any(d in path.parts for d in _STREAMING_IO_DIRS)
-
-
-def check_whole_file_read(src: SourceFile) -> Iterator[Violation]:
+def check_whole_file_read(src: SourceFile) -> Iterator[Finding]:
     """CORP-IO-001: `while (getline(...))` growing a container.
 
     The classic whole-file reader — read every line, push_back every
@@ -492,7 +345,7 @@ def check_whole_file_read(src: SourceFile) -> Iterator[Violation]:
     (push_back/emplace_back), so keyed lookups and line counting stay
     legal.
     """
-    if not _in_streaming_io_dir(src.path):
+    if not any(d in Path(src.path).parts for d in _STREAMING_IO_DIRS):
         return
     toks = src.tokens
     for i, tok in enumerate(toks):
@@ -501,36 +354,15 @@ def check_whole_file_read(src: SourceFile) -> Iterator[Violation]:
         if not _seq(toks, i + 1, "("):
             continue
         # Scan the loop condition for a getline call.
-        depth = 0
-        j = i + 1
-        saw_getline = False
-        while j < len(toks):
-            t = toks[j]
-            if t.text == "(":
-                depth += 1
-            elif t.text == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif t.kind == "ident" and t.text == "getline":
-                saw_getline = True
-            j += 1
-        if not saw_getline or j >= len(toks):
+        j = match_forward(toks, i + 1)
+        if j >= len(toks) or not any(
+                t.kind == "ident" and t.text == "getline"
+                for t in toks[i + 2:j]):
             continue
         # Walk the loop body — a brace block or a single statement.
         k = j + 1
         if k < len(toks) and toks[k].text == "{":
-            depth = 0
-            body_end = k
-            while body_end < len(toks):
-                t = toks[body_end]
-                if t.text == "{":
-                    depth += 1
-                elif t.text == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                body_end += 1
+            body_end = match_forward(toks, k)
         else:
             body_end = k
             while body_end < len(toks) and toks[body_end].text != ";":
@@ -540,9 +372,7 @@ def check_whole_file_read(src: SourceFile) -> Iterator[Violation]:
             for t in toks[k:body_end + 1])
         if not grows:
             continue
-        if src.justified(tok.line, "streaming-io"):
-            continue
-        yield Violation(
+        yield Finding(
             src.path, tok.line, "CORP-IO-001",
             "getline loop accumulating rows into a container — an "
             "unbounded whole-file read; production traces are multi-GB, "
@@ -550,140 +380,14 @@ def check_whole_file_read(src: SourceFile) -> Iterator[Violation]:
             "bounded-input readers with `// lint: streaming-io`)")
 
 
-RULES: tuple[Rule, ...] = (
-    Rule("CORP-RNG-001", "raw std:: random engine outside util/rng",
-         "raw-engine", check_raw_engine),
-    Rule("CORP-RNG-002", "std::random_device nondeterministic entropy",
-         "entropy-source", check_random_device),
-    Rule("CORP-RNG-003", "C rand()/srand() hidden global generator",
-         "c-rand", check_c_rand),
-    Rule("CORP-TIME-001", "wall-clock time in result-affecting code",
-         "wall-clock", check_wall_clock),
-    Rule("CORP-ORD-001", "iteration over unordered container",
-         "sorted-gather", check_unordered_iteration),
-    Rule("CORP-FLT-001", "float in the double-only prediction pipeline",
-         "float-ok", check_float_in_pipeline),
-    Rule("CORP-SEED-001", "derive_seed stream tag is a bare literal",
-         "literal-stream", check_seed_stream_tag),
-    Rule("CORP-API-001", "direct prediction-stack construction",
-         "stack-direct", check_direct_stack_construction),
-    Rule("CORP-IO-001", "whole-file getline read in trace-ingest code",
-         "streaming-io", check_whole_file_read),
+CHECKS: tuple[Callable[[SourceFile], Iterator[Finding]], ...] = (
+    check_raw_engine,
+    check_random_device,
+    check_c_rand,
+    check_wall_clock,
+    check_unordered_iteration,
+    check_float_in_pipeline,
+    check_seed_stream_tag,
+    check_direct_stack_construction,
+    check_whole_file_read,
 )
-
-#: Default scan roots, relative to the repo root (tests/ is exempt: test
-#: code legitimately pokes raw engines and literal streams at the API).
-DEFAULT_ROOTS = ("src", "bench", "tools")
-
-_CPP_SUFFIXES = (".cpp", ".hpp", ".h", ".cc", ".cxx")
-
-
-def iter_cpp_files(paths: Sequence[Path]) -> Iterator[Path]:
-    for path in paths:
-        if path.is_file():
-            if path.suffix in _CPP_SUFFIXES:
-                yield path
-        elif path.is_dir():
-            for sub in sorted(path.rglob("*")):
-                if sub.is_file() and sub.suffix in _CPP_SUFFIXES:
-                    yield sub
-
-
-def lint_file(path: Path) -> list[Violation]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        return [Violation(path, 0, "CORP-IO-000", f"unreadable: {err}")]
-    src = tokenize(path, text)
-    found: list[Violation] = []
-    for rule in RULES:
-        found.extend(rule.check(src))
-    found.sort(key=lambda v: (str(v.path), v.line, v.rule))
-    return found
-
-
-def find_repo_root(start: Path) -> Path:
-    for candidate in (start, *start.parents):
-        if (candidate / "CMakeLists.txt").is_file() and \
-                (candidate / "src").is_dir():
-            return candidate
-    return start
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0],
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument(
-        "paths", nargs="*", type=Path,
-        help="files or directories to scan (default: src/ bench/ tools/ "
-             "under the repo root)")
-    parser.add_argument(
-        "--root", type=Path, default=None,
-        help="repo root for the default scan set (default: autodetected "
-             "from this script's location)")
-    parser.add_argument(
-        "--expect", metavar="RULE_ID", default=None,
-        help="fixture mode: exit 0 iff at least one violation of exactly "
-             "this rule fires and no other rule does")
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule table and exit")
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in RULES:
-            print(f"{rule.rule_id}  {rule.summary}  "
-                  f"(suppress: // lint: {rule.tag})")
-        return 0
-
-    if args.expect is not None and args.expect not in \
-            {rule.rule_id for rule in RULES}:
-        print(f"corp_lint: unknown rule id {args.expect!r}",
-              file=sys.stderr)
-        return 2
-
-    if args.paths:
-        roots = list(args.paths)
-    else:
-        base = args.root if args.root is not None else \
-            find_repo_root(Path(__file__).resolve().parent)
-        roots = [base / name for name in DEFAULT_ROOTS]
-        missing = [r for r in roots if not r.is_dir()]
-        if missing:
-            print(f"corp_lint: scan roots not found: "
-                  f"{', '.join(map(str, missing))}", file=sys.stderr)
-            return 2
-
-    violations: list[Violation] = []
-    files = 0
-    for path in iter_cpp_files(roots):
-        # Never lint the fixture corpus during a default tree scan.
-        if not args.paths and "fixtures" in path.parts:
-            continue
-        files += 1
-        violations.extend(lint_file(path))
-
-    for violation in violations:
-        print(violation.render())
-
-    if args.expect is not None:
-        fired = {v.rule for v in violations}
-        if fired == {args.expect}:
-            print(f"ok: fixture trips exactly {args.expect} "
-                  f"({len(violations)} violation(s))")
-            return 0
-        print(f"FAIL: expected exactly {{{args.expect}}}, got "
-              f"{sorted(fired) or '{}'}", file=sys.stderr)
-        return 1
-
-    if violations:
-        print(f"corp_lint: {len(violations)} violation(s) in {files} "
-              f"file(s)", file=sys.stderr)
-        return 1
-    print(f"corp_lint: clean ({files} file(s) scanned)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
