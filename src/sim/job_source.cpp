@@ -7,10 +7,6 @@ namespace corp::sim {
 
 void JobSource::retire(const trace::Job& job) { (void)job; }
 
-std::int64_t JobSource::next_event_slot(std::int64_t after) {
-  return exhausted() ? kNoEventSlot : after + 1;
-}
-
 TraceJobSource::TraceJobSource(const trace::Trace& trace)
     : trace_(&trace), horizon_(trace.horizon_slots()) {}
 

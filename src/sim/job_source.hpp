@@ -42,10 +42,8 @@ class JobSource {
   /// arrival, or (for incremental sources) any internal state step the
   /// dense slot-by-slot path would have taken. kNoEventSlot when
   /// exhausted. Returning an earlier slot than strictly necessary is
-  /// always safe (the engine just ticks an extra empty slot); the
-  /// default adapter returns after + 1, i.e. dense polling, so existing
-  /// JobSource implementations stay correct unchanged.
-  virtual std::int64_t next_event_slot(std::int64_t after);
+  /// always safe (the engine just ticks an extra empty slot).
+  virtual std::int64_t next_event_slot(std::int64_t after) = 0;
 
   /// Max submit_slot + duration_slots over delivered jobs; exact once
   /// exhausted() (the engine only uses it for the grace cutoff, which it

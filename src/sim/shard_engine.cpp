@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -62,7 +60,6 @@ struct RunningJob {
   sched::AllocationKind kind = sched::AllocationKind::kReserved;
   ResourceVector allocated;
   double progress = 0.0;
-  std::int64_t submit_slot = 0;
   sched::DemandHistory demand_history;
   std::array<std::vector<double>, kNumResources> unused_history;
   /// Normalized (fraction-space) forecast awaiting its Eq. 20 outcome.
@@ -154,424 +151,424 @@ struct PendingRetry {
   std::int64_t release_slot = 0;
 };
 
-}  // namespace
-
-ShardEngine::ShardEngine(const SimulationConfig& config,
-                         predict::VectorPredictor& predictor,
-                         sched::Scheduler& scheduler,
-                         std::unique_ptr<util::ThreadPool>& pool_slot)
-    : config_(config),
-      predictor_(predictor),
-      scheduler_(scheduler),
-      pool_slot_(pool_slot) {}
-
-SimulationResult ShardEngine::run(const trace::Trace& trace) {
-  TraceJobSource source(trace);
-  return run(source);
+/// One shard per plan range. Per-VM execution scratch is sized once:
+/// slots zero only the entries their jobs touch (O(roster), not
+/// O(VMs/shard)); at a million VMs a full zeroing walk per slot costs
+/// ~10 ms and would swamp every slot tick, busy or idle, drowning the
+/// event clock's skip win.
+std::vector<Shard> make_shards(const cluster::ShardPlan& plan) {
+  std::vector<Shard> shards(plan.num_shards());
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    shards[s].vms = plan.range(s);
+    shards[s].vm_consumed.resize(shards[s].vms.size());
+    shards[s].vm_opp_want.resize(shards[s].vms.size());
+  }
+  return shards;
 }
 
-SimulationResult ShardEngine::run(JobSource& source) {
-  const obs::ScopedTimer run_timer("sim.run");
+/// Everything one ShardEngine::run owns, plus one member function per
+/// slot phase, which run() calls in loop order. Parallel phases fan out
+/// through for_each_shard and touch only shard-local state; cross-shard
+/// effects merge serially in seq order.
+struct RunState {
+  const SimulationConfig& config;
+  predict::VectorPredictor& predictor;
+  sched::Scheduler& scheduler;
+  std::unique_ptr<util::ThreadPool>& pool_slot;
+  JobSource& source;
+
   // Metric handles hoisted out of the slot loop: the per-slot cost is a
   // handful of relaxed atomic adds when enabled, a null check when not.
+  // Counters that mirror a SimulationResult tally are published from the
+  // result once, in finish().
   obs::MetricRegistry& reg = obs::registry();
   const bool obs_on = reg.enabled();
-  obs::Counter* m_slots = obs_on ? &reg.counter("sim.slot_ticks") : nullptr;
   obs::Counter* m_attempts =
       obs_on ? &reg.counter("sim.placement_attempts") : nullptr;
   obs::Counter* m_failures =
       obs_on ? &reg.counter("sim.placement_failures") : nullptr;
-  obs::Counter* m_promotions =
-      obs_on ? &reg.counter("sim.gate_promotions") : nullptr;
-  obs::Counter* m_preemptions =
-      obs_on ? &reg.counter("sim.gate_preemptions") : nullptr;
   obs::PhaseStat* m_place_phase = obs_on ? &reg.phase("sim.place") : nullptr;
   obs::PhaseStat* m_predict_phase =
       obs_on ? &reg.phase("sim.predict") : nullptr;
-  // Event-clock counters are created whenever metrics are on (a zero is a
-  // meaningful reading: "nothing was skippable"), so downstream schema
-  // gates can rely on their presence after any run.
-  obs::Counter* m_skipped =
-      obs_on ? &reg.counter("event.skipped_slots") : nullptr;
-  obs::Counter* m_amortized =
-      obs_on ? &reg.counter("event.predictions_amortized") : nullptr;
 
-  const Params& params = config_.params;
+  const Params& params = config.params;
   const std::size_t L = params.window_slots;
-  SlotClock clock(params.slot_clock);
-  const bool window_cadence =
-      params.predict_cadence == PredictCadence::kWindow;
-  const bool pred_aware = config_.method == Method::kPredAware;
-  const bool opportunistic_method = config_.method == Method::kCorp ||
-                                    config_.method == Method::kRccr ||
+  const bool window_cadence = params.predict_cadence == PredictCadence::kWindow;
+  const bool pred_aware = config.method == Method::kPredAware;
+  const bool opportunistic_method = config.method == Method::kCorp ||
+                                    config.method == Method::kRccr ||
                                     pred_aware;
   // P_th backing the trust signals' gate margin (pred-aware only).
   const double gate_probability_threshold =
-      config_.stack.value_or(params.stack_config()).probability_threshold;
+      config.stack.value_or(params.stack_config()).probability_threshold;
 
-  cluster::Cluster cluster(config_.environment);
-  cluster::SlotMetricsAccumulator metrics(params.weights);
-  cluster::SloTracker slo;
-  util::Rng rng(config_.seed ^ 0x9e3779b97f4a7c15ULL);
+  cluster::Cluster cluster{config.environment};
+  cluster::SlotMetricsAccumulator metrics{params.weights};
+  cluster::SloTracker slo{};
+  util::Rng rng{config.seed ^ 0x9e3779b97f4a7c15ULL};
+  const ResourceVector max_vm_capacity = cluster.max_vm_capacity();
+  // Timeline denominator: VM capacities are fixed for the run.
+  const double weighted_capacity =
+      cluster.total_capacity().weighted_total(params.weights.w);
 
-  // --- shard layout ----------------------------------------------------
-  // shards == 0 resolves to one shard per worker thread; any request is
-  // clamped to the VM count, so a single VM (or an empty cluster) always
-  // collapses to the serial single-shard layout. Pools are gated on the
-  // *resolved* worker count: when the hardware only offers one thread
-  // (threads == 0 on a single-core box), shipping work to a one-worker
-  // pool is a context-switch round trip per dispatch with nothing to
-  // overlap — the engine stays inline-serial instead.
+  // Shard layout: shards == 0 resolves to one shard per worker thread;
+  // any request is clamped to the VM count, so a single VM (or an empty
+  // cluster) always collapses to the serial single-shard layout.
   const std::size_t resolved_threads =
       util::ThreadPool::resolve(params.threads);
-  const std::size_t requested_shards =
-      params.shards == 0 ? resolved_threads : params.shards;
-  const cluster::ShardPlan plan = cluster.shard_plan(requested_shards);
-  std::vector<Shard> shards(plan.num_shards());
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    shards[s].vms = plan.range(s);
-    // Per-VM execution scratch, sized once. Slots zero only the entries
-    // their jobs touch (O(roster), not O(VMs/shard)): at a million VMs a
-    // full zeroing walk per slot costs ~10 ms and would swamp every slot
-    // tick, busy or idle, drowning the event clock's skip win.
-    shards[s].vm_consumed.resize(shards[s].vms.size());
-    shards[s].vm_opp_want.resize(shards[s].vms.size());
-  }
-  const std::size_t num_shards = shards.size();
-  if (num_shards > 1 && resolved_threads > 1 && pool_slot_ == nullptr) {
-    pool_slot_ = std::make_unique<util::ThreadPool>(params.threads);
-  }
-  // Runs each shard's slot work, fanned out on the pool when one exists.
-  // Shard bodies only touch shard-local state (their VM block, their job
-  // roster, their staging buffers), so execution order cannot change any
-  // result bit.
-  const auto for_each_shard =
-      [&shards, this](const std::function<void(std::size_t)>& body) {
-        if (pool_slot_ == nullptr || shards.size() <= 1) {
-          for (std::size_t s = 0; s < shards.size(); ++s) body(s);
-        } else {
-          pool_slot_->parallel_for(shards.size(), body);
-        }
-      };
-  const auto total_running = [&shards] {
-    std::size_t n = 0;
-    for (const Shard& shard : shards) n += shard.jobs.size();
-    return n;
-  };
+  const cluster::ShardPlan plan = cluster.shard_plan(
+      params.shards == 0 ? resolved_threads : params.shards);
+  std::vector<Shard> shards = make_shards(plan);
   std::uint64_t next_seq = 0;
 
-  SimulationResult result;
-  result.method = config_.method;
-
-  std::deque<const Job*> queue;
-  std::vector<const Job*> arrivals;  // poll buffer, reused across slots
-
+  SimulationResult result{};
+  std::vector<const Job*> queue{};  // FIFO; place() drains it whole
   double compute_ms = 0.0;
   double comm_us = 0.0;
-
-  const ResourceVector max_vm_capacity = cluster.max_vm_capacity();
 
   // Fault injection. The oracle hangs off its own derived seed stream and
   // with all rates zero is inert: none of the `faults_on` branches below
   // execute, no randomness is drawn, and the run is bit-identical to a
   // build without the subsystem. The crash plan spans the horizon known
-  // at entry: exact for a materialized trace; for a streaming source
-  // (horizon discovered incrementally) VM-crash schedules only cover the
-  // initially-known span, so fault studies should materialize first.
-  fault::FaultInjector injector(
-      config_.faults, util::derive_seed(config_.seed, util::seed_stream::kFault),
-      cluster.num_vms(), source.horizon_slots() + config_.grace_slots + 1);
+  // at entry: exact for a materialized trace, but a streaming source
+  // knows none yet, so `corpsim run --trace-file` rejects VM crashes.
+  fault::FaultInjector injector{
+      config.faults, util::derive_seed(config.seed, util::seed_stream::kFault),
+      cluster.num_vms(), source.horizon_slots() + config.grace_slots + 1};
   const bool faults_on = injector.enabled();
-  obs::Counter* m_vm_crashes =
-      obs_on && faults_on ? &reg.counter("fault.vm_crashes") : nullptr;
-  obs::Counter* m_vm_recoveries =
-      obs_on && faults_on ? &reg.counter("fault.vm_recoveries") : nullptr;
-  obs::Counter* m_jobs_killed =
-      obs_on && faults_on ? &reg.counter("fault.jobs_killed") : nullptr;
-  obs::Counter* m_job_retries =
-      obs_on && faults_on ? &reg.counter("fault.job_retries") : nullptr;
-  obs::Counter* m_jobs_dropped =
-      obs_on && faults_on ? &reg.counter("fault.jobs_dropped") : nullptr;
-  obs::Counter* m_gaps =
-      obs_on && faults_on ? &reg.counter("fault.telemetry_gaps") : nullptr;
   obs::Counter* m_stragglers =
       obs_on && faults_on ? &reg.counter("fault.straggler_placements")
                           : nullptr;
 
-  std::vector<PendingRetry> retries;
-  std::unordered_map<std::uint64_t, std::size_t> crash_kills;
+  std::vector<PendingRetry> retries{};
+  std::unordered_map<std::uint64_t, std::size_t> crash_kills{};
 
   // Merged per-slot sample buffer (global seq order), reused across slots.
-  std::vector<cluster::AllocationSample> slot_samples;
+  std::vector<cluster::AllocationSample> slot_samples{};
 
   // Scheduler view table, allocated once: at 100k VMs a fresh
   // zero-initialized vector every placement slot is a serial multi-MB
   // construction before any shard can start filling. Each shard fully
-  // overwrites its own slice below, so reuse is safe.
-  std::vector<sched::VmView> views(cluster.num_vms());
+  // overwrites its own slice in build_views, so reuse is safe.
+  std::vector<sched::VmView> views =
+      std::vector<sched::VmView>(cluster.num_vms());
 
   // Heterogeneous partition admission caps: active only when some node
   // class limits its concurrently reserved jobs. Counts are recomputed
   // from the shard rosters every placement slot (no incremental counter
-  // to race with parallel completions), merged serially below.
+  // to race with parallel completions), merged serially in build_views.
   const std::size_t num_partitions = cluster.num_partitions();
-  bool partition_caps = false;
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    if (cluster.partition_reserved_cap(p) > 0) partition_caps = true;
+  const bool partition_caps = [this] {
+    for (std::size_t p = 0; p < num_partitions; ++p) {
+      if (cluster.partition_reserved_cap(p) > 0) return true;
+    }
+    return false;
+  }();
+  std::vector<std::size_t> partition_reserved =
+      std::vector<std::size_t>(num_partitions, 0);
+  std::vector<std::uint8_t> partition_open =
+      std::vector<std::uint8_t>(num_partitions, 1);
+
+  // Per-slot marks: SLO tallies before this slot's completions (timeline
+  // deltas) and the grace cutoff as of this slot's termination check.
+  std::size_t completed_before = 0;
+  std::size_t violations_before = 0;
+  std::int64_t max_slot = 0;
+
+  // Creates the owning Simulation's worker pool on first need. Pools are
+  // gated on the *resolved* worker count: when the hardware only offers
+  // one thread (threads == 0 on a single-core box), shipping work to a
+  // one-worker pool is a context-switch round trip per dispatch with
+  // nothing to overlap — the engine stays inline-serial instead.
+  void ensure_pool(bool worth_it) {
+    if (worth_it && resolved_threads > 1 && pool_slot == nullptr) {
+      pool_slot = std::make_unique<util::ThreadPool>(params.threads);
+    }
   }
-  std::vector<std::size_t> partition_reserved(num_partitions, 0);
-  std::vector<std::uint8_t> partition_open(num_partitions, 1);
 
-  for (std::int64_t t = 0;;) {
-    ++result.slots_ticked;
-    if (m_slots != nullptr) m_slots->add(1);
+  // Runs each shard's slot work, fanned out on the pool when one exists.
+  // Shard bodies only touch shard-local state (their VM block, their job
+  // roster, their staging buffers), so execution order cannot change any
+  // result bit.
+  void for_each_shard(const std::function<void(std::size_t)>& body) {
+    if (pool_slot == nullptr || shards.size() <= 1) {
+      for (std::size_t s = 0; s < shards.size(); ++s) body(s);
+    } else {
+      pool_slot->parallel_for(shards.size(), body);
+    }
+  }
 
-    // --- 0. fault transitions and retry release -----------------------
-    // Serial: crashes are rare, and each transition touches exactly one
-    // VM's shard block (stable compaction keeps the roster seq-sorted, so
-    // the kill/retry event order is shard-count invariant).
-    if (faults_on) {
-      for (const fault::VmTransition& tr : injector.transitions_at(t)) {
-        auto& vm = cluster.vm(tr.vm_id);
-        if (tr.up) {
-          vm.recover();
-          ++result.vm_recoveries;
-          if (m_vm_recoveries != nullptr) m_vm_recoveries->add(1);
+  // Visits every running job in ascending seq order across shards.
+  template <typename Visit>
+  void for_each_running_by_seq(const Visit& visit) {
+    merge_by_seq(
+        shards.size(), [&](std::size_t s) { return shards[s].jobs.size(); },
+        [&](std::size_t s, std::size_t i) { return shards[s].jobs[i].seq; },
+        [&](std::size_t s, std::size_t i) { visit(shards[s].jobs[i]); });
+  }
+
+  std::size_t total_running() const {
+    std::size_t n = 0;
+    for (const Shard& shard : shards) n += shard.jobs.size();
+    return n;
+  }
+
+  // The engine is done with `job` at slot t: its response time is scored
+  // against its SLO threshold (as a permanent failure when `dropped`) and
+  // the source may free it.
+  void retire(const Job& job, std::int64_t t, bool dropped) {
+    const auto response = static_cast<std::size_t>(t - job.submit_slot + 1);
+    const double threshold =
+        static_cast<double>(job.duration_slots) * job.slo_stretch +
+        params.slo_slack_slots;
+    if (dropped) {
+      slo.record_failure(job.id, job.duration_slots, response, threshold);
+    } else {
+      slo.record(job.id, job.duration_slots, response, threshold);
+    }
+    source.retire(job);
+  }
+
+  // Committed fraction of total cluster capacity (weighted).
+  double committed_fraction() const {
+    const double committed =
+        cluster.total_committed().weighted_total(params.weights.w);
+    return weighted_capacity > 0.0 ? committed / weighted_capacity : 0.0;
+  }
+
+  // --- 0. fault transitions and retry release -------------------------
+  // Serial: crashes are rare, and each transition touches exactly one
+  // VM's shard block (stable compaction keeps the roster seq-sorted, so
+  // the kill/retry event order is shard-count invariant).
+  void release_faults_and_retries(std::int64_t t) {
+    if (!faults_on) return;
+    for (const fault::VmTransition& tr : injector.transitions_at(t)) {
+      auto& vm = cluster.vm(tr.vm_id);
+      if (tr.up) {
+        vm.recover();
+        ++result.vm_recoveries;
+        continue;
+      }
+      vm.crash();
+      ++result.vm_crashes;
+      // Every tenant dies with the VM — reserved and opportunistic
+      // alike (the pool the latter ride is gone). Killed jobs restart
+      // from scratch after a capped exponential backoff until their
+      // retry budget is spent; the response clock keeps running, so
+      // retries eat into the SLO threshold.
+      Shard& shard = shards[plan.shard_of(tr.vm_id)];
+      std::size_t write = 0;
+      for (std::size_t i = 0; i < shard.jobs.size(); ++i) {
+        RunningJob& rj = shard.jobs[i];
+        if (rj.vm_id != tr.vm_id) {
+          if (write != i) shard.jobs[write] = std::move(shard.jobs[i]);
+          ++write;
           continue;
         }
-        vm.crash();
-        ++result.vm_crashes;
-        if (m_vm_crashes != nullptr) m_vm_crashes->add(1);
-        // Every tenant dies with the VM — reserved and opportunistic
-        // alike (the pool the latter ride is gone). Killed jobs restart
-        // from scratch after a capped exponential backoff until their
-        // retry budget is spent; the response clock keeps running, so
-        // retries eat into the SLO threshold.
-        Shard& shard = shards[plan.shard_of(tr.vm_id)];
-        std::size_t write = 0;
-        for (std::size_t i = 0; i < shard.jobs.size(); ++i) {
-          RunningJob& rj = shard.jobs[i];
-          if (rj.vm_id != tr.vm_id) {
-            if (write != i) shard.jobs[write] = std::move(shard.jobs[i]);
-            ++write;
-            continue;
-          }
-          ++result.jobs_killed;
-          if (m_jobs_killed != nullptr) m_jobs_killed->add(1);
-          const std::size_t attempt = ++crash_kills[rj.job->id];
-          if (attempt > injector.config().retry_budget) {
-            slo.record_failure(
-                rj.job->id, rj.job->duration_slots,
-                static_cast<std::size_t>(t - rj.submit_slot + 1),
-                static_cast<double>(rj.job->duration_slots) *
-                        rj.job->slo_stretch +
-                    params.slo_slack_slots);
-            ++result.jobs_dropped;
-            if (m_jobs_dropped != nullptr) m_jobs_dropped->add(1);
-            source.retire(*rj.job);
-          } else {
-            retries.push_back({rj.job, t + injector.retry_backoff(attempt)});
-            ++result.job_retries;
-            if (m_job_retries != nullptr) m_job_retries->add(1);
-          }
-        }
-        shard.jobs.resize(write);
-      }
-      for (std::size_t i = 0; i < retries.size();) {
-        if (retries[i].release_slot <= t) {
-          queue.push_back(retries[i].job);
-          retries.erase(retries.begin() + static_cast<std::ptrdiff_t>(i));
+        ++result.jobs_killed;
+        const std::size_t attempt = ++crash_kills[rj.job->id];
+        if (attempt > injector.config().retry_budget) {
+          retire(*rj.job, t, /*dropped=*/true);
+          ++result.jobs_dropped;
         } else {
-          ++i;
+          retries.push_back({rj.job, t + injector.retry_backoff(attempt)});
+          ++result.job_retries;
         }
+      }
+      shard.jobs.resize(write);
+    }
+    for (std::size_t i = 0; i < retries.size();) {
+      if (retries[i].release_slot <= t) {
+        queue.push_back(retries[i].job);
+        retries.erase(retries.begin() + static_cast<std::ptrdiff_t>(i));
+      } else {
+        ++i;
       }
     }
+  }
 
-    // --- 1. arrivals --------------------------------------------------
-    // The source delivers this slot's jobs in (submit_slot, id) order —
-    // the same order a sorted materialized trace yields — and, for the
-    // streaming source, blocks on ingest until no late emission can still
-    // land at or before t.
-    arrivals.clear();
-    source.poll(t, arrivals);
-    for (const Job* job : arrivals) queue.push_back(job);
+  // --- 1. arrivals ----------------------------------------------------
+  // The source delivers this slot's jobs in (submit_slot, id) order —
+  // the same order a sorted materialized trace yields — and, for the
+  // streaming source, blocks on ingest until no late emission can still
+  // land at or before t.
+  void admit_arrivals(std::int64_t t) { source.poll(t, queue); }
 
-    // --- 2. placement -------------------------------------------------
-    // Candidate collection and gate evaluation fan out per shard (each
-    // worker fills its own contiguous slice of the view table from its
-    // own VM block and job roster); the placement decision itself stays
-    // centralized, slurmctld-style.
-    if (!queue.empty()) {
-      std::vector<const Job*> batch(queue.begin(), queue.end());
-
-      // VM views: unallocated from the ledger; predicted unused is the
-      // sum of the per-job cached forecasts over reserved tenants. The
-      // table is the hoisted buffer above; this loop resets every slice
-      // element, so nothing from the previous slot can leak through.
-      const bool unlocked = opportunistic_method && predictor_.unlocked();
-      for_each_shard([&](std::size_t s) {
-        Shard& shard = shards[s];
-        for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
-          views[v] = sched::VmView{};
-          views[v].vm_id = cluster.vm(v).id();
-          views[v].unallocated = cluster.vm(v).unallocated();
-          views[v].capacity = cluster.vm(v).capacity();
-        }
-        if (partition_caps) {
-          shard.partition_reserved.assign(num_partitions, 0);
-          for (const RunningJob& rj : shard.jobs) {
-            if (rj.kind == sched::AllocationKind::kReserved) {
-              ++shard.partition_reserved[cluster.vm_partition(rj.vm_id)];
-            }
-          }
-        }
-        if (!opportunistic_method) return;
+  // --- 2. VM views (placement slots only) -----------------------------
+  // Candidate collection and gate evaluation fan out per shard: each
+  // worker fills its own contiguous slice of the view table from its own
+  // VM block and job roster. Unallocated is read from the ledger;
+  // predicted unused is the sum of the per-job cached forecasts over
+  // reserved tenants. Every slice element is reset, so nothing from the
+  // previous slot can leak through.
+  void build_views() {
+    const bool unlocked = opportunistic_method && predictor.unlocked();
+    for_each_shard([&](std::size_t s) {
+      Shard& shard = shards[s];
+      for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
+        views[v] = sched::VmView{};
+        views[v].vm_id = cluster.vm(v).id();
+        views[v].unallocated = cluster.vm(v).unallocated();
+        views[v].capacity = cluster.vm(v).capacity();
+      }
+      if (partition_caps) {
+        shard.partition_reserved.assign(num_partitions, 0);
         for (const RunningJob& rj : shard.jobs) {
           if (rj.kind == sched::AllocationKind::kReserved) {
-            if (rj.has_cached_prediction) {
-              views[rj.vm_id].predicted_unused += rj.cached_prediction;
-            }
-          } else {
-            // Tenants already riding this VM's unused pool consume it:
-            // without this subtraction the same pool would be pledged to
-            // new tenants every slot until the donors starve.
-            views[rj.vm_id].predicted_unused -= rj.allocated;
+            ++shard.partition_reserved[cluster.vm_partition(rj.vm_id)];
           }
         }
-        for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
-          sched::VmView& view = views[v];
-          view.predicted_unused = view.predicted_unused.clamped_non_negative();
-          // Predicted unused can never exceed what is committed.
-          view.predicted_unused = ResourceVector::min(
-              view.predicted_unused, cluster.vm(view.vm_id).committed());
-          view.unlocked = unlocked && view.predicted_unused.total() > 0.0;
-        }
-      });
-
-      if (partition_caps) {
-        // Serial merge (commutative integer adds), then advertise which
-        // partitions still admit reservations via the views.
-        std::fill(partition_reserved.begin(), partition_reserved.end(),
-                  std::size_t{0});
-        for (const Shard& shard : shards) {
-          for (std::size_t p = 0; p < num_partitions; ++p) {
-            partition_reserved[p] += shard.partition_reserved[p];
-          }
-        }
-        for (std::size_t p = 0; p < num_partitions; ++p) {
-          const std::size_t cap = cluster.partition_reserved_cap(p);
-          partition_open[p] =
-              static_cast<std::uint8_t>(cap == 0 || partition_reserved[p] < cap);
-        }
-        for_each_shard([&](std::size_t s) {
-          const Shard& shard = shards[s];
-          for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
-            views[v].accepts_reserved = partition_open[cluster.vm_partition(v)] != 0;
-          }
-        });
       }
-
-      sched::SchedulerContext ctx;
-      ctx.vms = views;
-      ctx.max_vm_capacity = max_vm_capacity;
-      ctx.rng = &rng;
-
-      // Predictor-health snapshot for trust-adaptive scheduling. Sampled
-      // in the serial centralized placement step from state that is
-      // bit-identical across shard/thread counts (the monitor and the
-      // trackers are fed in seq order), so the trust trajectory is too.
-      sched::TrustSignals trust_signals;
-      if (pred_aware) {
-        trust_signals.tier = predictor_.tier();
-        trust_signals.window_fault_fraction =
-            predictor_.health().window_fault_fraction();
-        double min_gate = 1.0;
-        for (std::size_t r = 0; r < kNumResources; ++r) {
-          min_gate =
-              std::min(min_gate, predictor_.stack(r).gate_probability());
-        }
-        trust_signals.min_gate_probability = min_gate;
-        trust_signals.probability_threshold = gate_probability_threshold;
-        ctx.trust = &trust_signals;
-      }
-
-      const auto start = Clock::now();
-      const auto decisions = scheduler_.place(batch, ctx);
-      const double place_ms = elapsed_ms(start);
-      compute_ms += place_ms;
-      if (m_place_phase != nullptr) m_place_phase->add(place_ms);
-      if (m_attempts != nullptr) m_attempts->add(batch.size());
-      comm_us += config_.environment.comm_overhead_us *
-                 static_cast<double>(decisions.size());
-
-      std::vector<bool> placed(batch.size(), false);
-      for (const auto& decision : decisions) {
-        auto& vm = cluster.vm(decision.vm_id);
-        if (partition_caps &&
-            decision.kind == sched::AllocationKind::kReserved) {
-          // Hard admission check: the views advertised pre-batch counts,
-          // so a batch of reserved placements can still overrun a
-          // partition cap. Rejected members stay unplaced and requeue.
-          const std::size_t p = cluster.vm_partition(decision.vm_id);
-          const std::size_t cap = cluster.partition_reserved_cap(p);
-          if (cap > 0 &&
-              partition_reserved[p] + decision.batch_indices.size() > cap) {
-            continue;
+      if (!opportunistic_method) return;
+      for (const RunningJob& rj : shard.jobs) {
+        if (rj.kind == sched::AllocationKind::kReserved) {
+          if (rj.has_cached_prediction) {
+            views[rj.vm_id].predicted_unused += rj.cached_prediction;
           }
-          partition_reserved[p] += decision.batch_indices.size();
-        }
-        if (decision.kind == sched::AllocationKind::kReserved) {
-          // The scheduler worked from a snapshot; clamp against the live
-          // ledger to absorb floating-point dust.
-          const ResourceVector amount =
-              ResourceVector::min(decision.allocated, vm.unallocated());
-          vm.commit(amount);
-          ++result.reserved_placements;
         } else {
-          ++result.opportunistic_placements;
-        }
-        // Split the entity's allocation across members: each member is
-        // accounted its own share. For reserved single jobs the decision
-        // amount may be method-sized (CloudScale/DRA below request).
-        const bool single = decision.batch_indices.size() == 1;
-        Shard& shard = shards[plan.shard_of(decision.vm_id)];
-        for (std::size_t member : decision.batch_indices) {
-          placed[member] = true;
-          const Job& job = *batch[member];
-          if (m_stragglers != nullptr && injector.is_straggler(job.id)) {
-            m_stragglers->add(1);
-          }
-          RunningJob rj;
-          rj.job = &job;
-          rj.seq = next_seq++;
-          rj.vm_id = decision.vm_id;
-          rj.kind = decision.kind;
-          rj.allocated = single ? decision.allocated
-                                : job.request * decision.request_fraction;
-          rj.submit_slot = job.submit_slot;
-          shard.jobs.push_back(std::move(rj));
+          // Tenants already riding this VM's unused pool consume it:
+          // without this subtraction the same pool would be pledged to
+          // new tenants every slot until the donors starve.
+          views[rj.vm_id].predicted_unused -= rj.allocated;
         }
       }
-      queue.clear();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (!placed[i]) {
-          queue.push_back(batch[i]);
-          if (m_failures != nullptr) m_failures->add(1);
-        }
+      for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
+        sched::VmView& view = views[v];
+        view.predicted_unused = view.predicted_unused.clamped_non_negative();
+        // Predicted unused can never exceed what is committed.
+        view.predicted_unused = ResourceVector::min(
+            view.predicted_unused, cluster.vm(view.vm_id).committed());
+        view.unlocked = unlocked && view.predicted_unused.total() > 0.0;
+      }
+    });
+    if (!partition_caps) return;
+    // Serial merge (commutative integer adds), then advertise which
+    // partitions still admit reservations via the views.
+    std::fill(partition_reserved.begin(), partition_reserved.end(),
+              std::size_t{0});
+    for (const Shard& shard : shards) {
+      for (std::size_t p = 0; p < num_partitions; ++p) {
+        partition_reserved[p] += shard.partition_reserved[p];
       }
     }
+    for (std::size_t p = 0; p < num_partitions; ++p) {
+      const std::size_t cap = cluster.partition_reserved_cap(p);
+      partition_open[p] =
+          static_cast<std::uint8_t>(cap == 0 || partition_reserved[p] < cap);
+    }
+    for_each_shard([&](std::size_t s) {
+      const Shard& shard = shards[s];
+      for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
+        views[v].accepts_reserved =
+            partition_open[cluster.vm_partition(v)] != 0;
+      }
+    });
+  }
 
-    // --- 3. execution (parallel per shard) ----------------------------
-    // Pass 1: reserved jobs receive min(demand, allocation); accumulate
-    // per-VM consumption. Pass 2: opportunistic jobs share each VM's
-    // *allocated-but-unused* resource (committed minus what the reserved
-    // tenants actually consume) proportionally per resource type.
-    // Uncommitted capacity is NOT donated — it is held for future
-    // reservations — so when donor jobs peak, opportunistic tenants
-    // starve; this is exactly the risk the prediction stack and the
-    // Eq. 21 gate exist to manage. Pass 3: progress, histories, samples.
-    // All state is shard-local; every VM's accumulation order is its
-    // jobs' seq order, so the float sums are shard-count invariant.
+  // --- 3. placement (placement slots only) ----------------------------
+  // The decision itself stays centralized, slurmctld-style: the
+  // scheduler sees every VM view and its decisions apply serially.
+  void place() {
+    std::vector<const Job*> batch;
+    batch.swap(queue);
+    sched::SchedulerContext ctx;
+    ctx.vms = views;
+    ctx.max_vm_capacity = max_vm_capacity;
+    ctx.rng = &rng;
+
+    // Predictor-health snapshot for trust-adaptive scheduling. Sampled
+    // in the serial centralized placement step from state that is
+    // bit-identical across shard/thread counts (the monitor and the
+    // trackers are fed in seq order), so the trust trajectory is too.
+    sched::TrustSignals trust_signals;
+    if (pred_aware) {
+      trust_signals.tier = predictor.tier();
+      trust_signals.window_fault_fraction =
+          predictor.health().window_fault_fraction();
+      double min_gate = 1.0;
+      for (std::size_t r = 0; r < kNumResources; ++r) {
+        min_gate = std::min(min_gate, predictor.stack(r).gate_probability());
+      }
+      trust_signals.min_gate_probability = min_gate;
+      trust_signals.probability_threshold = gate_probability_threshold;
+      ctx.trust = &trust_signals;
+    }
+
+    const auto start = Clock::now();
+    const auto decisions = scheduler.place(batch, ctx);
+    const double place_ms = elapsed_ms(start);
+    compute_ms += place_ms;
+    if (m_place_phase != nullptr) m_place_phase->add(place_ms);
+    if (m_attempts != nullptr) m_attempts->add(batch.size());
+    comm_us += config.environment.comm_overhead_us *
+               static_cast<double>(decisions.size());
+
+    std::vector<bool> placed(batch.size(), false);
+    for (const auto& decision : decisions) {
+      auto& vm = cluster.vm(decision.vm_id);
+      if (partition_caps && decision.kind == sched::AllocationKind::kReserved) {
+        // Hard admission check: the views advertised pre-batch counts,
+        // so a batch of reserved placements can still overrun a
+        // partition cap. Rejected members stay unplaced and requeue.
+        const std::size_t p = cluster.vm_partition(decision.vm_id);
+        const std::size_t cap = cluster.partition_reserved_cap(p);
+        if (cap > 0 &&
+            partition_reserved[p] + decision.batch_indices.size() > cap) {
+          continue;
+        }
+        partition_reserved[p] += decision.batch_indices.size();
+      }
+      if (decision.kind == sched::AllocationKind::kReserved) {
+        // The scheduler worked from a snapshot; clamp against the live
+        // ledger to absorb floating-point dust.
+        const ResourceVector amount =
+            ResourceVector::min(decision.allocated, vm.unallocated());
+        vm.commit(amount);
+        ++result.reserved_placements;
+      } else {
+        ++result.opportunistic_placements;
+      }
+      // Split the entity's allocation across members: each member is
+      // accounted its own share. For reserved single jobs the decision
+      // amount may be method-sized (CloudScale/DRA below request).
+      const bool single = decision.batch_indices.size() == 1;
+      Shard& shard = shards[plan.shard_of(decision.vm_id)];
+      for (std::size_t member : decision.batch_indices) {
+        placed[member] = true;
+        const Job& job = *batch[member];
+        if (m_stragglers != nullptr && injector.is_straggler(job.id)) {
+          m_stragglers->add(1);
+        }
+        RunningJob rj;
+        rj.job = &job;
+        rj.seq = next_seq++;
+        rj.vm_id = decision.vm_id;
+        rj.kind = decision.kind;
+        rj.allocated = single ? decision.allocated
+                              : job.request * decision.request_fraction;
+        shard.jobs.push_back(std::move(rj));
+      }
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!placed[i]) {
+        queue.push_back(batch[i]);
+        if (m_failures != nullptr) m_failures->add(1);
+      }
+    }
+  }
+
+  // --- 4. execution (parallel per shard) + sample merge ---------------
+  // Pass 1: reserved jobs receive min(demand, allocation); accumulate
+  // per-VM consumption. Pass 2: opportunistic jobs share each VM's
+  // *allocated-but-unused* resource (committed minus what the reserved
+  // tenants actually consume) proportionally per resource type.
+  // Uncommitted capacity is NOT donated — it is held for future
+  // reservations — so when donor jobs peak, opportunistic tenants
+  // starve; this is exactly the risk the prediction stack and the
+  // Eq. 21 gate exist to manage. Pass 3: progress, histories, samples.
+  // All state is shard-local; every VM's accumulation order is its
+  // jobs' seq order, so the float sums are shard-count invariant.
+  void execute(std::int64_t t) {
     for_each_shard([&](std::size_t s) {
       Shard& shard = shards[s];
       const std::size_t n = shard.jobs.size();
@@ -678,30 +675,26 @@ SimulationResult ShardEngine::run(JobSource& source) {
     // the accumulator sees the exact serial addition order.
     slot_samples.clear();
     merge_by_seq(
-        num_shards, [&](std::size_t s) { return shards[s].samples.size(); },
+        shards.size(), [&](std::size_t s) { return shards[s].samples.size(); },
         [&](std::size_t s, std::size_t i) { return shards[s].jobs[i].seq; },
         [&](std::size_t s, std::size_t i) {
           slot_samples.push_back(shards[s].samples[i]);
         });
     metrics.observe_slot(slot_samples);
-    for (const Shard& shard : shards) {
-      result.telemetry_gaps += shard.gaps;
-      if (m_gaps != nullptr && shard.gaps > 0) {
-        m_gaps->add(shard.gaps);
-      }
-    }
+    for (const Shard& shard : shards) result.telemetry_gaps += shard.gaps;
+  }
 
-    const std::size_t violations_before = slo.violations();
-    const std::size_t completed_before = slo.completed();
-
-    // --- 4. completions and opportunistic preemption (parallel) -------
-    // An opportunistic tenant whose donors departed has no pool left;
-    // after a few starved slots its lease is preempted and the task is
-    // resubmitted from scratch (opportunistic resources carry no
-    // availability guarantee — Marshall et al.'s preemptible leases).
-    // Lease promotion and the reservation release are VM-local, so each
-    // shard applies them directly; SLO records and requeues are staged as
-    // events and applied at the barrier in seq order.
+  // --- 5. completions and opportunistic preemption (parallel) ---------
+  // An opportunistic tenant whose donors departed has no pool left;
+  // after a few starved slots its lease is preempted and the task is
+  // resubmitted from scratch (opportunistic resources carry no
+  // availability guarantee — Marshall et al.'s preemptible leases).
+  // Lease promotion and the reservation release are VM-local, so each
+  // shard applies them directly; SLO records and requeues are staged as
+  // events and applied at the barrier in seq order.
+  void complete(std::int64_t t) {
+    completed_before = slo.completed();
+    violations_before = slo.violations();
     for_each_shard([&](std::size_t s) {
       Shard& shard = shards[s];
       shard.events.clear();
@@ -748,354 +741,356 @@ SimulationResult ShardEngine::run(JobSource& source) {
     for (const Shard& shard : shards) {
       result.lease_promotions += shard.promotions;
       result.lease_preemptions += shard.preemptions;
-      if (m_promotions != nullptr && shard.promotions > 0) {
-        m_promotions->add(shard.promotions);
-      }
-      if (m_preemptions != nullptr && shard.preemptions > 0) {
-        m_preemptions->add(shard.preemptions);
-      }
     }
     merge_by_seq(
-        num_shards, [&](std::size_t s) { return shards[s].events.size(); },
+        shards.size(), [&](std::size_t s) { return shards[s].events.size(); },
         [&](std::size_t s, std::size_t i) { return shards[s].events[i].seq; },
         [&](std::size_t s, std::size_t i) {
           const SlotEvent& event = shards[s].events[i];
           if (event.kind == SlotEvent::Kind::kRequeue) {
             queue.push_back(event.job);
-            return;
-          }
-          const auto response =
-              static_cast<std::size_t>(t - event.job->submit_slot + 1);
-          slo.record(event.job->id, event.job->duration_slots, response,
-                     static_cast<double>(event.job->duration_slots) *
-                             event.job->slo_stretch +
-                         params.slo_slack_slots);
-          source.retire(*event.job);
-        });
-
-    // --- 5. predictions and re-provisioning ---------------------------
-    // Short-lived jobs often finish before a full window elapses, so the
-    // opportunistic methods refresh every running job's unused forecast
-    // each slot (the paper's per-window forecast, rolled forward), while
-    // Eq. 20 outcome feedback resolves one window after each pledge.
-    if (total_running() > 0) {
-      const auto start = Clock::now();
-      if (opportunistic_method) {
-        // Pass 1 — resolve matured Eq. 20 outcomes for every reserved
-        // tenant before any forecast is made, so the whole window's batch
-        // sees one consistent error-tracker state. The window tail means
-        // are shard-local math and fan out; the stateful record_outcome
-        // calls are applied at the barrier in seq order.
-        //
-        // Only reserved tenants donate unused resource, and only their
-        // series match the training distribution (a squeezed
-        // opportunistic tenant's allocation-minus-received is an artifact
-        // of contention, not reusable capacity).
-        for_each_shard([&](std::size_t s) {
-          Shard& shard = shards[s];
-          shard.matured.clear();
-          shard.matured_actual.clear();
-          for (std::size_t i = 0; i < shard.jobs.size(); ++i) {
-            RunningJob& rj = shard.jobs[i];
-            if (rj.kind != sched::AllocationKind::kReserved) continue;
-            if (!rj.pending_prediction.has_value() ||
-                rj.slots_since_prediction < L) {
-              continue;
-            }
-            ResourceVector actual;
-            for (std::size_t r = 0; r < kNumResources; ++r) {
-              actual[r] = util::tail_mean(rj.unused_history[r], L);
-            }
-            shard.matured.push_back(i);
-            shard.matured_actual.push_back(actual);
-          }
-        });
-        merge_by_seq(
-            num_shards,
-            [&](std::size_t s) { return shards[s].matured.size(); },
-            [&](std::size_t s, std::size_t i) {
-              return shards[s].jobs[shards[s].matured[i]].seq;
-            },
-            [&](std::size_t s, std::size_t i) {
-              RunningJob& rj = shards[s].jobs[shards[s].matured[i]];
-              predictor_.record_outcome(shards[s].matured_actual[i],
-                                        *rj.pending_prediction);
-              rj.pending_prediction.reset();
-              // A resolved pledge re-pledges on its next forecast; the
-              // window cadence must not defer that to the next watermark.
-              rj.refresh_due = true;
-            });
-
-        // Pass 2 — deterministic sorted gather of reserved tenants in seq
-        // order, then ONE batched predictor call for the whole window
-        // instead of per-job scalar calls. Under the per-slot cadence
-        // every reserved tenant is gathered; the window cadence gathers
-        // only tenants whose forecast is actually stale — window
-        // watermark moved (history crossed a multiple of L), Eq. 20
-        // pledge just resolved, health tier changed, or no cache yet —
-        // and keeps the others' pledge clocks ticking exactly as the
-        // scatter below would. The skip predicate reads only per-job
-        // state plus the serially-fed monitor tier, so the gathered set
-        // (hence the monitor's observation stream) is bit-identical
-        // across shard/thread counts and clock modes.
-        const predict::DegradationTier tier_now = predictor_.tier();
-        std::size_t amortized = 0;
-        std::vector<RunningJob*> reserved;
-        reserved.reserve(slot_samples.size());
-        predict::VectorBatchRequest request;
-        merge_by_seq(
-            num_shards, [&](std::size_t s) { return shards[s].jobs.size(); },
-            [&](std::size_t s, std::size_t i) { return shards[s].jobs[i].seq; },
-            [&](std::size_t s, std::size_t i) {
-              RunningJob& rj = shards[s].jobs[i];
-              if (rj.kind != sched::AllocationKind::kReserved) return;
-              if (window_cadence && rj.has_cached_prediction &&
-                  !rj.refresh_due && rj.forecast_tier == tier_now &&
-                  rj.unused_history[0].size() % L != 0) {
-                ++amortized;
-                if (rj.pending_prediction.has_value()) {
-                  ++rj.slots_since_prediction;
-                }
-                return;
-              }
-              reserved.push_back(&rj);
-              request.histories.push_back(&rj.unused_history);
-            });
-        if (amortized > 0) {
-          result.predictions_amortized += amortized;
-          if (m_amortized != nullptr) m_amortized->add(amortized);
-        }
-        if (faults_on) {
-          request.faults.reserve(reserved.size());
-          for (const RunningJob* rj : reserved) {
-            predict::InjectedFaultVector injected{};
-            for (std::size_t r = 0; r < kNumResources; ++r) {
-              injected[r] = static_cast<predict::InjectedFault>(
-                  injector.predictor_fault(rj->job->id, t, r));
-            }
-            request.faults.push_back(injected);
-          }
-        }
-        if (pool_slot_ == nullptr && resolved_threads > 1 &&
-            reserved.size() >= dnn::kForwardBatchShardMinRows) {
-          pool_slot_ = std::make_unique<util::ThreadPool>(params.threads);
-        }
-        request.pool = pool_slot_.get();
-        const std::vector<ResourceVector> fractions =
-            predictor_.predict_batch(request);
-
-        // Pass 3 — scatter forecasts back into the per-(job, window)
-        // caches and pledge bookkeeping, in the same seq order.
-        const predict::DegradationTier tier_after = predictor_.tier();
-        for (std::size_t i = 0; i < reserved.size(); ++i) {
-          RunningJob& rj = *reserved[i];
-          const ResourceVector& fraction = fractions[i];
-          for (std::size_t r = 0; r < kNumResources; ++r) {
-            rj.cached_prediction[r] =
-                std::clamp(fraction[r], 0.0, 1.0) * rj.job->request[r];
-          }
-          rj.has_cached_prediction = true;
-          rj.forecast_tier = tier_after;
-          rj.refresh_due = false;
-          // Pledge a forecast into the Eq. 20/21 error accounting only
-          // once the job has a full window of real history behind it;
-          // scoring cold-start guesses would poison the gate with errors
-          // no amount of prediction skill can remove.
-          if (!rj.pending_prediction.has_value()) {
-            if (rj.unused_history[0].size() >= L) {
-              rj.pending_prediction = fraction;
-              rj.slots_since_prediction = 0;
-            }
           } else {
-            ++rj.slots_since_prediction;
+            retire(*event.job, t, /*dropped=*/false);
           }
-        }
-      } else if ((t + 1) % static_cast<std::int64_t>(L) == 0) {
-        // Demand-based methods re-size reservations once per window.
-        // Serial in seq order: the schedulers' internal forecasters are
-        // stateful, and commit/release must apply in a canonical order.
-        merge_by_seq(
-            num_shards, [&](std::size_t s) { return shards[s].jobs.size(); },
-            [&](std::size_t s, std::size_t i) { return shards[s].jobs[i].seq; },
-            [&](std::size_t s, std::size_t i) {
-              RunningJob& rj = shards[s].jobs[i];
-              if (rj.kind != sched::AllocationKind::kReserved) return;
-              const ResourceVector target = scheduler_.reprovision(
-                  *rj.job, rj.demand_history, rj.allocated);
-              auto& vm = cluster.vm(rj.vm_id);
-              const ResourceVector grow =
-                  (target - rj.allocated).clamped_non_negative();
-              const ResourceVector shrink =
-                  (rj.allocated - target).clamped_non_negative();
-              const ResourceVector granted_grow =
-                  ResourceVector::min(grow, vm.unallocated());
-              vm.commit(granted_grow);
-              vm.release(shrink);
-              rj.allocated += granted_grow;
-              rj.allocated -= shrink;
-              rj.allocated = rj.allocated.clamped_non_negative();
-            });
-      }
-      const double predict_ms = elapsed_ms(start);
-      compute_ms += predict_ms;
-      if (m_predict_phase != nullptr) m_predict_phase->add(predict_ms);
+        });
+  }
+
+  // --- 6. predictions and re-provisioning -----------------------------
+  // Short-lived jobs often finish before a full window elapses, so the
+  // opportunistic methods refresh every reserved tenant's unused
+  // forecast each slot (the paper's per-window forecast, rolled
+  // forward), while Eq. 20 outcome feedback resolves one window after
+  // each pledge. Demand-based methods re-size reservations once per
+  // window instead.
+  void predict_or_reprovision(std::int64_t t) {
+    if (total_running() == 0) return;
+    const auto start = Clock::now();
+    if (opportunistic_method) {
+      resolve_outcomes();
+      refresh_forecasts(t);
+    } else if ((t + 1) % static_cast<std::int64_t>(L) == 0) {
+      reprovision();
     }
+    const double predict_ms = elapsed_ms(start);
+    compute_ms += predict_ms;
+    if (m_predict_phase != nullptr) m_predict_phase->add(predict_ms);
+  }
 
-    if (config_.record_timeline) {
-      TimelineSample sample;
-      sample.slot = t;
-      for (const Shard& shard : shards) {
-        for (const RunningJob& rj : shard.jobs) {
-          if (rj.kind == sched::AllocationKind::kReserved) {
-            ++sample.running_reserved;
-          } else {
-            ++sample.running_opportunistic;
-          }
+  // Pass 1 — resolve matured Eq. 20 outcomes for every reserved tenant
+  // before any forecast is made, so the whole window's batch sees one
+  // consistent error-tracker state. The window tail means are
+  // shard-local math and fan out; the stateful record_outcome calls are
+  // applied at the barrier in seq order.
+  //
+  // Only reserved tenants donate unused resource, and only their series
+  // match the training distribution (a squeezed opportunistic tenant's
+  // allocation-minus-received is an artifact of contention, not reusable
+  // capacity).
+  void resolve_outcomes() {
+    for_each_shard([&](std::size_t s) {
+      Shard& shard = shards[s];
+      shard.matured.clear();
+      shard.matured_actual.clear();
+      for (std::size_t i = 0; i < shard.jobs.size(); ++i) {
+        RunningJob& rj = shard.jobs[i];
+        if (rj.kind != sched::AllocationKind::kReserved) continue;
+        if (!rj.pending_prediction.has_value() ||
+            rj.slots_since_prediction < L) {
+          continue;
         }
+        ResourceVector actual;
+        for (std::size_t r = 0; r < kNumResources; ++r) {
+          actual[r] = util::tail_mean(rj.unused_history[r], L);
+        }
+        shard.matured.push_back(i);
+        shard.matured_actual.push_back(actual);
       }
-      sample.queued = queue.size();
-      sample.overall_utilization =
-          cluster::overall_utilization(slot_samples, params.weights);
-      double committed = 0.0, capacity = 0.0;
+    });
+    merge_by_seq(
+        shards.size(), [&](std::size_t s) { return shards[s].matured.size(); },
+        [&](std::size_t s, std::size_t i) {
+          return shards[s].jobs[shards[s].matured[i]].seq;
+        },
+        [&](std::size_t s, std::size_t i) {
+          RunningJob& rj = shards[s].jobs[shards[s].matured[i]];
+          predictor.record_outcome(shards[s].matured_actual[i],
+                                   *rj.pending_prediction);
+          rj.pending_prediction.reset();
+          // A resolved pledge re-pledges on its next forecast; the
+          // window cadence must not defer that to the next watermark.
+          rj.refresh_due = true;
+        });
+  }
+
+  // Pass 2 — deterministic sorted gather of reserved tenants in seq
+  // order, then ONE batched predictor call for the whole window instead
+  // of per-job scalar calls. Under the per-slot cadence every reserved
+  // tenant is gathered; the window cadence gathers only tenants whose
+  // forecast is actually stale — window watermark moved (history crossed
+  // a multiple of L), Eq. 20 pledge just resolved, health tier changed,
+  // or no cache yet — and keeps the others' pledge clocks ticking
+  // exactly as the scatter below would. The skip predicate reads only
+  // per-job state plus the serially-fed monitor tier, so the gathered
+  // set (hence the monitor's observation stream) is bit-identical across
+  // shard/thread counts and clock modes.
+  void refresh_forecasts(std::int64_t t) {
+    const predict::DegradationTier tier_now = predictor.tier();
+    std::size_t amortized = 0;
+    std::vector<RunningJob*> reserved;
+    reserved.reserve(slot_samples.size());
+    predict::VectorBatchRequest request;
+    for_each_running_by_seq([&](RunningJob& rj) {
+      if (rj.kind != sched::AllocationKind::kReserved) return;
+      if (window_cadence && rj.has_cached_prediction && !rj.refresh_due &&
+          rj.forecast_tier == tier_now &&
+          rj.unused_history[0].size() % L != 0) {
+        ++amortized;
+        if (rj.pending_prediction.has_value()) ++rj.slots_since_prediction;
+        return;
+      }
+      reserved.push_back(&rj);
+      request.histories.push_back(&rj.unused_history);
+    });
+    result.predictions_amortized += amortized;
+    if (faults_on) {
+      request.faults.reserve(reserved.size());
+      for (const RunningJob* rj : reserved) {
+        predict::InjectedFaultVector injected{};
+        for (std::size_t r = 0; r < kNumResources; ++r) {
+          injected[r] = static_cast<predict::InjectedFault>(
+              injector.predictor_fault(rj->job->id, t, r));
+        }
+        request.faults.push_back(injected);
+      }
+    }
+    ensure_pool(reserved.size() >= dnn::kForwardBatchShardMinRows);
+    request.pool = pool_slot.get();
+    const std::vector<ResourceVector> fractions =
+        predictor.predict_batch(request);
+
+    // Pass 3 — scatter forecasts back into the per-(job, window) caches
+    // and pledge bookkeeping, in the same seq order.
+    const predict::DegradationTier tier_after = predictor.tier();
+    for (std::size_t i = 0; i < reserved.size(); ++i) {
+      RunningJob& rj = *reserved[i];
+      const ResourceVector& fraction = fractions[i];
       for (std::size_t r = 0; r < kNumResources; ++r) {
-        committed += params.weights.w[r] * cluster.total_committed()[r];
-        capacity += params.weights.w[r] * cluster.total_capacity()[r];
+        rj.cached_prediction[r] =
+            std::clamp(fraction[r], 0.0, 1.0) * rj.job->request[r];
       }
-      sample.committed_fraction = capacity > 0.0 ? committed / capacity : 0.0;
-      sample.completions = slo.completed() - completed_before;
-      sample.violations = slo.violations() - violations_before;
-      result.timeline.add(sample);
+      rj.has_cached_prediction = true;
+      rj.forecast_tier = tier_after;
+      rj.refresh_due = false;
+      // Pledge a forecast into the Eq. 20/21 error accounting only
+      // once the job has a full window of real history behind it;
+      // scoring cold-start guesses would poison the gate with errors
+      // no amount of prediction skill can remove.
+      if (!rj.pending_prediction.has_value()) {
+        if (rj.unused_history[0].size() >= L) {
+          rj.pending_prediction = fraction;
+          rj.slots_since_prediction = 0;
+        }
+      } else {
+        ++rj.slots_since_prediction;
+      }
     }
+  }
 
-    // --- 6. termination -----------------------------------------------
-    // The grace cutoff is only meaningful relative to the *full* trace
-    // horizon, which a streaming source knows exactly once exhausted; for
-    // a materialized trace, t >= max_slot already implies every arrival
-    // was delivered, so gating the cutoff on exhaustion changes nothing.
+  // Demand-based methods re-size reservations once per window. Serial in
+  // seq order: the schedulers' internal forecasters are stateful, and
+  // commit/release must apply in a canonical order.
+  void reprovision() {
+    for_each_running_by_seq([&](RunningJob& rj) {
+      if (rj.kind != sched::AllocationKind::kReserved) return;
+      const ResourceVector target =
+          scheduler.reprovision(*rj.job, rj.demand_history, rj.allocated);
+      auto& vm = cluster.vm(rj.vm_id);
+      const ResourceVector grow =
+          (target - rj.allocated).clamped_non_negative();
+      const ResourceVector shrink =
+          (rj.allocated - target).clamped_non_negative();
+      const ResourceVector granted_grow =
+          ResourceVector::min(grow, vm.unallocated());
+      vm.commit(granted_grow);
+      vm.release(shrink);
+      rj.allocated += granted_grow;
+      rj.allocated -= shrink;
+      rj.allocated = rj.allocated.clamped_non_negative();
+    });
+  }
+
+  // --- 7. timeline (record_timeline only) -----------------------------
+  void record_timeline(std::int64_t t) {
+    if (!config.record_timeline) return;
+    TimelineSample sample;
+    sample.slot = t;
+    for (const Shard& shard : shards) {
+      for (const RunningJob& rj : shard.jobs) {
+        if (rj.kind == sched::AllocationKind::kReserved) {
+          ++sample.running_reserved;
+        } else {
+          ++sample.running_opportunistic;
+        }
+      }
+    }
+    sample.queued = queue.size();
+    sample.overall_utilization =
+        cluster::overall_utilization(slot_samples, params.weights);
+    sample.committed_fraction = committed_fraction();
+    sample.completions = slo.completed() - completed_before;
+    sample.violations = slo.violations() - violations_before;
+    result.timeline.add(sample);
+  }
+
+  // --- 8. termination -------------------------------------------------
+  // The grace cutoff is only meaningful relative to the *full* trace
+  // horizon, which a streaming source knows exactly once exhausted; for
+  // a materialized trace, t >= max_slot already implies every arrival
+  // was delivered, so gating the cutoff on exhaustion changes nothing.
+  bool terminate(std::int64_t t) {
     const bool drained = queue.empty() && total_running() == 0 &&
                          retries.empty() && source.exhausted();
-    const std::int64_t max_slot =
-        source.horizon_slots() + config_.grace_slots;
-    if (drained || (source.exhausted() && t >= max_slot)) {
-      result.slots_simulated = t + 1;
-      if (!drained) {
-        // Force-complete stragglers as violations, running jobs first (in
-        // seq order across shards), then the queue, then pending retries.
-        merge_by_seq(
-            num_shards, [&](std::size_t s) { return shards[s].jobs.size(); },
-            [&](std::size_t s, std::size_t i) { return shards[s].jobs[i].seq; },
-            [&](std::size_t s, std::size_t i) {
-              const RunningJob& rj = shards[s].jobs[i];
-              const auto response =
-                  static_cast<std::size_t>(t - rj.submit_slot + 1);
-              slo.record(rj.job->id, rj.job->duration_slots, response,
-                         static_cast<double>(rj.job->duration_slots) *
-                                 rj.job->slo_stretch +
-                             params.slo_slack_slots);
-              ++result.jobs_forced;
-              source.retire(*rj.job);
-            });
-        for (const Job* job : queue) {
-          const auto response =
-              static_cast<std::size_t>(t - job->submit_slot + 1);
-          slo.record(job->id, job->duration_slots, response,
-                     static_cast<double>(job->duration_slots) *
-                             job->slo_stretch +
-                         params.slo_slack_slots);
-          ++result.jobs_forced;
-          source.retire(*job);
-        }
-        for (const PendingRetry& pr : retries) {
-          const auto response =
-              static_cast<std::size_t>(t - pr.job->submit_slot + 1);
-          slo.record(pr.job->id, pr.job->duration_slots, response,
-                     static_cast<double>(pr.job->duration_slots) *
-                             pr.job->slo_stretch +
-                         params.slo_slack_slots);
-          ++result.jobs_forced;
-          source.retire(*pr.job);
-        }
-      }
-      break;
-    }
+    max_slot = source.horizon_slots() + config.grace_slots;
+    if (!drained && !(source.exhausted() && t >= max_slot)) return false;
+    result.slots_simulated = t + 1;
+    if (drained) return true;
+    // Force-complete stragglers as violations, running jobs first (in
+    // seq order across shards), then the queue, then pending retries.
+    std::vector<const Job*> stragglers;
+    for_each_running_by_seq(
+        [&](const RunningJob& rj) { stragglers.push_back(rj.job); });
+    stragglers.insert(stragglers.end(), queue.begin(), queue.end());
+    for (const PendingRetry& pr : retries) stragglers.push_back(pr.job);
+    for (const Job* job : stragglers) retire(*job, t, /*dropped=*/false);
+    result.jobs_forced += stragglers.size();
+    return true;
+  }
 
-    // --- 7. clock advance ---------------------------------------------
-    // Busy slots always step densely: queued work retries placement (and
-    // draws scheduler tie-breaks from the RNG) every slot, and running
-    // jobs execute, complete and feed prediction. Only provably inert
-    // spans are jumped — and the horizon below lands the clock ON every
-    // slot where any engine input can change, so the jump is exact, not
-    // approximate (see sim/slot_clock.hpp for the no-op argument).
-    std::int64_t next = t + 1;
-    if (clock.mode() == SlotClockMode::kEvent && queue.empty() &&
-        total_running() == 0) {
-      EventHorizon horizon;
-      horizon.next_arrival = source.next_event_slot(t);
-      for (const PendingRetry& pr : retries) {
-        horizon.next_retry_release =
-            std::min(horizon.next_retry_release, pr.release_slot);
-      }
-      if (faults_on) {
-        horizon.next_fault_transition = injector.next_transition_slot(t + 1);
-      }
-      if (source.exhausted()) horizon.cutoff = max_slot;
-      next = clock.next(t, /*busy=*/false, horizon);
-      if (config_.record_timeline && next > t + 1) {
-        // Closed-form fast-forward of the per-slot record: nothing runs
-        // or queues on a jumped slot, its sample set is empty, and no
-        // fault transition lands strictly inside the span, so the idle
-        // sample the dense loop would emit is constant — replicate it
-        // with only the slot number varying.
-        TimelineSample idle;
-        idle.overall_utilization = cluster::overall_utilization(
-            std::span<const cluster::AllocationSample>{}, params.weights);
-        double committed = 0.0, capacity = 0.0;
-        for (std::size_t r = 0; r < kNumResources; ++r) {
-          committed += params.weights.w[r] * cluster.total_committed()[r];
-          capacity += params.weights.w[r] * cluster.total_capacity()[r];
-        }
-        idle.committed_fraction =
-            capacity > 0.0 ? committed / capacity : 0.0;
-        for (std::int64_t u = t + 1; u < next; ++u) {
-          idle.slot = u;
-          result.timeline.add(idle);
-        }
+  // --- 9. clock advance -----------------------------------------------
+  // Busy slots always step densely: queued work retries placement (and
+  // draws scheduler tie-breaks from the RNG) every slot, and running
+  // jobs execute, complete and feed prediction. The event clock jumps
+  // only provably inert spans (see sim/slot_clock.hpp for the no-op
+  // argument), landing ON the earliest slot where any engine input can
+  // change: the next arrival, crash-retry release or fault-plan
+  // transition, or — once the source is exhausted — the grace cutoff, so
+  // termination fires on exactly the dense slot. No pending event at all
+  // degrades to a dense step, so the clock never stalls.
+  std::int64_t advance_clock(std::int64_t t) {
+    if (params.slot_clock != SlotClockMode::kEvent || !queue.empty() ||
+        total_running() > 0) {
+      return t + 1;
+    }
+    std::int64_t event = source.next_event_slot(t);
+    for (const PendingRetry& pr : retries) {
+      event = std::min(event, pr.release_slot);
+    }
+    if (faults_on) {
+      event = std::min(event, injector.next_transition_slot(t + 1));
+    }
+    if (source.exhausted()) event = std::min(event, max_slot);
+    if (event == kNoEventSlot) return t + 1;
+    const std::int64_t next = std::max(t + 1, event);
+    result.slots_skipped += next - (t + 1);
+    if (config.record_timeline && next > t + 1) {
+      // Closed-form fast-forward of the per-slot record: nothing runs
+      // or queues on a jumped slot, its sample set is empty (utilization
+      // 0), and no fault transition lands strictly inside the span, so
+      // the idle sample the dense loop would emit is constant —
+      // replicate it with only the slot number varying.
+      TimelineSample idle;
+      idle.committed_fraction = committed_fraction();
+      for (std::int64_t u = t + 1; u < next; ++u) {
+        idle.slot = u;
+        result.timeline.add(idle);
       }
     }
-    t = next;
+    return next;
   }
-  result.slots_skipped = clock.skipped_slots();
-  if (m_skipped != nullptr) m_skipped->add(result.slots_skipped);
 
-  for (std::size_t r = 0; r < kNumResources; ++r) {
-    const auto kind = static_cast<trace::ResourceKind>(r);
-    result.mean_utilization[r] = metrics.mean_utilization(kind);
-    result.mean_wastage[r] = metrics.mean_wastage(kind);
+  SimulationResult finish() {
+    result.method = config.method;
+    for (std::size_t r = 0; r < kNumResources; ++r) {
+      const auto kind = static_cast<trace::ResourceKind>(r);
+      result.mean_utilization[r] = metrics.mean_utilization(kind);
+      result.mean_wastage[r] = metrics.mean_wastage(kind);
+    }
+    result.overall_utilization = metrics.mean_overall_utilization();
+    result.overall_wastage = metrics.mean_overall_wastage();
+    result.slo_violation_rate = slo.violation_rate();
+    result.mean_stretch = slo.mean_stretch();
+    result.jobs_completed = slo.completed();
+    result.jobs_violated = slo.violations();
+    result.degradation_tier = static_cast<int>(predictor.tier());
+    if (pred_aware) {
+      const auto* pa =
+          dynamic_cast<const sched::PredictionAwareScheduler*>(&scheduler);
+      if (pa != nullptr) result.trust_lambda = pa->current_trust();
+    }
+    result.compute_latency_ms = compute_ms;
+    result.total_latency_ms = compute_ms + comm_us / 1000.0;
+    if (obs_on) {
+      reg.counter("sim.runs").add(1);
+      reg.counter("sim.slot_ticks")
+          .add(static_cast<std::uint64_t>(result.slots_ticked));
+      reg.counter("sim.opportunistic_placements")
+          .add(result.opportunistic_placements);
+      reg.counter("sim.reserved_placements").add(result.reserved_placements);
+      reg.counter("sim.gate_promotions").add(result.lease_promotions);
+      reg.counter("sim.gate_preemptions").add(result.lease_preemptions);
+      reg.counter("sim.jobs_completed").add(result.jobs_completed);
+      reg.counter("sim.jobs_violated").add(result.jobs_violated);
+      reg.histogram("sim.run_latency_ms").observe(result.total_latency_ms);
+      // Event-clock counters are registered whenever metrics are on (a
+      // zero is a meaningful reading: "nothing was skippable"), so
+      // downstream schema gates can rely on their presence after any run.
+      reg.counter("event.skipped_slots")
+          .add(static_cast<std::uint64_t>(result.slots_skipped));
+      reg.counter("event.predictions_amortized")
+          .add(result.predictions_amortized);
+    }
+    if (obs_on && faults_on) {
+      reg.counter("fault.vm_crashes").add(result.vm_crashes);
+      reg.counter("fault.vm_recoveries").add(result.vm_recoveries);
+      reg.counter("fault.jobs_killed").add(result.jobs_killed);
+      reg.counter("fault.job_retries").add(result.job_retries);
+      reg.counter("fault.jobs_dropped").add(result.jobs_dropped);
+      reg.counter("fault.telemetry_gaps").add(result.telemetry_gaps);
+    }
+    return std::move(result);
   }
-  result.overall_utilization = metrics.mean_overall_utilization();
-  result.overall_wastage = metrics.mean_overall_wastage();
-  result.slo_violation_rate = slo.violation_rate();
-  result.mean_stretch = slo.mean_stretch();
-  result.jobs_completed = slo.completed();
-  result.jobs_violated = slo.violations();
-  result.degradation_tier = static_cast<int>(predictor_.tier());
-  if (pred_aware) {
-    const auto* scheduler =
-        dynamic_cast<const sched::PredictionAwareScheduler*>(&scheduler_);
-    if (scheduler != nullptr) result.trust_lambda = scheduler->current_trust();
+};
+
+}  // namespace
+
+ShardEngine::ShardEngine(const SimulationConfig& config,
+                         predict::VectorPredictor& predictor,
+                         sched::Scheduler& scheduler,
+                         std::unique_ptr<util::ThreadPool>& pool_slot)
+    : config_(config),
+      predictor_(predictor),
+      scheduler_(scheduler),
+      pool_slot_(pool_slot) {}
+
+SimulationResult ShardEngine::run(JobSource& source) {
+  const obs::ScopedTimer run_timer("sim.run");
+  RunState state{config_, predictor_, scheduler_, pool_slot_, source};
+  state.ensure_pool(state.shards.size() > 1);
+  for (std::int64_t t = 0;; t = state.advance_clock(t)) {
+    ++state.result.slots_ticked;
+    state.release_faults_and_retries(t);
+    state.admit_arrivals(t);
+    if (!state.queue.empty()) {
+      state.build_views();
+      state.place();
+    }
+    state.execute(t);
+    state.complete(t);
+    state.predict_or_reprovision(t);
+    state.record_timeline(t);
+    if (state.terminate(t)) break;
   }
-  result.compute_latency_ms = compute_ms;
-  result.total_latency_ms = compute_ms + comm_us / 1000.0;
-  if (obs_on) {
-    reg.counter("sim.runs").add(1);
-    reg.counter("sim.opportunistic_placements")
-        .add(result.opportunistic_placements);
-    reg.counter("sim.reserved_placements").add(result.reserved_placements);
-    reg.counter("sim.jobs_completed").add(result.jobs_completed);
-    reg.counter("sim.jobs_violated").add(result.jobs_violated);
-    reg.histogram("sim.run_latency_ms").observe(result.total_latency_ms);
-  }
-  return result;
+  return state.finish();
 }
 
 }  // namespace corp::sim

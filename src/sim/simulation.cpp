@@ -147,11 +147,8 @@ void Simulation::train(const trace::Trace& history) {
 }
 
 SimulationResult Simulation::run(const trace::Trace& trace) {
-  if (!trained_) {
-    throw std::logic_error("Simulation::run before train()");
-  }
-  ShardEngine engine(config_, *predictor_, *scheduler_, pool_);
-  return engine.run(trace);
+  TraceJobSource source(trace);
+  return run(source);
 }
 
 SimulationResult Simulation::run(JobSource& source) {

@@ -7,23 +7,30 @@
 // latency (wall time of the method's decision path plus the environment's
 // modeled communication overhead).
 //
-// Mechanics per 10-second slot:
-//   1. arrivals + re-queued jobs are offered to the Scheduler;
+// Mechanics per 10-second slot (the ShardEngine phase that does each
+// step is named in brackets; sim/shard_engine.hpp lists them all):
+//   1. arrivals, re-queued jobs and released crash retries are offered
+//      to the Scheduler [admit_arrivals, build_views, place];
 //   2. reserved placements commit resources on their VM; opportunistic
-//      placements (CORP/RCCR) ride on predicted-unused resource and
-//      commit nothing;
+//      placements (CORP/RCCR/pred-aware) ride on predicted-unused
+//      resource and commit nothing [place];
 //   3. each running job demands its trace usage for its current execution
-//      position; reserved jobs receive min(demand, allocation); what
-//      remains of the VM's *physical* capacity is split proportionally
-//      among opportunistic tenants;
+//      position; reserved jobs receive min(demand, allocation); what the
+//      reserved tenants leave of the VM's *committed* resource is split
+//      proportionally among opportunistic tenants, while uncommitted
+//      capacity is held back for future reservations [execute];
 //   4. a job's progress advances by its bottleneck satisfaction ratio, so
-//      starved jobs stretch past their SLO response threshold;
-//   5. every L slots the method's per-job unused-resource predictions are
-//      refreshed (feeding the Eq. 20/21 error trackers), and demand-based
-//      methods re-size reservations via Scheduler::reprovision().
+//      starved jobs stretch past their SLO response threshold; finished
+//      jobs complete and starved leases are promoted or preempted
+//      [execute, complete];
+//   5. the opportunistic methods refresh every reserved tenant's
+//      unused-resource forecast each slot under the default cadence
+//      (Params::predict_cadence), and each Eq. 20 pledge resolves into
+//      the Eq. 20/21 error trackers one window (L slots) after it was
+//      made; demand-based methods instead re-size reservations via
+//      Scheduler::reprovision() every L slots [predict_or_reprovision].
 //
-// The slot loop itself lives in ShardEngine (sim/shard_engine.hpp): VM,
-// telemetry and running-job state is partitioned into Params::shards
+// VM, telemetry and running-job state is partitioned into Params::shards
 // contiguous blocks whose per-slot walks fan out on a worker pool, with
 // cross-shard effects merged deterministically at slot barriers. Results
 // are bit-identical across shard and thread counts.
@@ -149,7 +156,8 @@ class Simulation {
   /// utilization-fraction series respectively).
   void train(const trace::Trace& history);
 
-  /// Runs the evaluation trace to completion. train() must have run.
+  /// Runs the evaluation trace to completion through a TraceJobSource.
+  /// train() must have run.
   SimulationResult run(const trace::Trace& trace);
 
   /// Streaming variant: drives the slot loop from a JobSource (e.g. a

@@ -1,25 +1,9 @@
 #include "sim/slot_clock.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 namespace corp::sim {
-
-std::int64_t EventHorizon::earliest() const {
-  return std::min({next_arrival, next_retry_release, next_fault_transition,
-                   cutoff});
-}
-
-std::int64_t SlotClock::next(std::int64_t now, bool busy,
-                             const EventHorizon& horizon) {
-  if (mode_ == SlotClockMode::kDense || busy) return now + 1;
-  const std::int64_t event = horizon.earliest();
-  if (event == kNoEventSlot) return now + 1;
-  const std::int64_t next = std::max(now + 1, event);
-  skipped_ += next - (now + 1);
-  return next;
-}
 
 SlotClockMode parse_slot_clock(std::string_view name) {
   if (name == "dense") return SlotClockMode::kDense;
@@ -38,10 +22,6 @@ PredictCadence parse_predict_cadence(std::string_view name) {
 
 std::string_view to_string(SlotClockMode mode) {
   return mode == SlotClockMode::kDense ? "dense" : "event";
-}
-
-std::string_view to_string(PredictCadence cadence) {
-  return cadence == PredictCadence::kEverySlot ? "slot" : "window";
 }
 
 }  // namespace corp::sim

@@ -1,25 +1,24 @@
-// Event-driven time base of the slot loop.
+// Time-base enums of the slot loop and their CLI parsers.
 //
 // The dense reference clock ticks every 10-second slot. The event clock
-// jumps directly to the next slot where anything can change, skipping
-// spans where the engine provably does nothing: no queued work (so no
-// placement attempt, no RNG draw, no trust sample), no running jobs (so
-// no execution accounting, no telemetry append, no prediction call, no
-// completion). On such a span every per-slot phase is a no-op —
-// SlotMetricsAccumulator::observe_slot early-returns on an empty sample
-// set before touching its slot count — so skipping is bit-identical to
-// ticking by construction; tests/sim/event_clock_test.cpp pins it under
-// fault injection for every shard/thread count.
+// (ShardEngine's clock-advance phase) jumps directly to the next slot
+// where anything can change, skipping spans where the engine provably
+// does nothing: no queued work (so no placement attempt, no RNG draw, no
+// trust sample), no running jobs (so no execution accounting, no
+// telemetry append, no prediction call, no completion). On such a span
+// every per-slot phase is a no-op — SlotMetricsAccumulator::observe_slot
+// early-returns on an empty sample set before touching its slot count —
+// so skipping is bit-identical to ticking by construction;
+// tests/sim/event_clock_test.cpp pins it under fault injection for every
+// shard/thread count.
 //
-// Event classes bounding a skip (an EventHorizon):
-//   - next arrival        (JobSource::next_event_slot),
-//   - next crash-retry release (fault backoff queue),
-//   - next fault-plan transition (FaultInjector::next_transition_slot —
-//     the clock always lands ON a transition slot, never jumps one),
-//   - the grace cutoff once the source is exhausted.
-// Lease expiry/completion and prediction-refresh deadlines need no
-// entries: both only exist while a job runs, and the clock never skips
-// while any job runs.
+// A skip lands on the earliest of: the next arrival
+// (JobSource::next_event_slot), the next crash-retry release, the next
+// fault-plan transition (FaultInjector::next_transition_slot — the clock
+// always lands ON a transition slot, never jumps one), and the grace
+// cutoff once the source is exhausted. Lease expiry/completion and
+// prediction-refresh deadlines need no entries: both only exist while a
+// job runs, and the clock never skips while any job runs.
 #pragma once
 
 #include <cstdint>
@@ -50,46 +49,10 @@ enum class PredictCadence : std::uint8_t {
   kWindow = 1,
 };
 
-/// Candidate wake-up slots for one skip decision; kNoEventSlot entries
-/// are ignored. Populated by the engine from deterministic state only,
-/// so the skip trajectory is a pure function of config and trace.
-struct EventHorizon {
-  std::int64_t next_arrival = kNoEventSlot;
-  std::int64_t next_retry_release = kNoEventSlot;
-  std::int64_t next_fault_transition = kNoEventSlot;
-  /// Grace cutoff (horizon + grace), armed once the source is exhausted
-  /// so the termination check fires on exactly the dense slot.
-  std::int64_t cutoff = kNoEventSlot;
-
-  std::int64_t earliest() const;
-};
-
-class SlotClock {
- public:
-  explicit SlotClock(SlotClockMode mode) : mode_(mode) {}
-
-  SlotClockMode mode() const { return mode_; }
-
-  /// The next slot the engine must simulate after `now`. Dense mode and
-  /// busy slots (queued or running work) always step to now + 1; event
-  /// mode jumps to the earliest horizon candidate, clamped to at least
-  /// now + 1 (an exhausted horizon also degrades to a dense step, so the
-  /// clock can never stall or run backwards).
-  std::int64_t next(std::int64_t now, bool busy, const EventHorizon& horizon);
-
-  /// Total slots jumped over so far (sum of span lengths).
-  std::int64_t skipped_slots() const { return skipped_; }
-
- private:
-  SlotClockMode mode_;
-  std::int64_t skipped_ = 0;
-};
-
 /// CLI helpers ("dense" | "event", "slot" | "window"); throw
 /// std::invalid_argument on anything else.
 SlotClockMode parse_slot_clock(std::string_view name);
 PredictCadence parse_predict_cadence(std::string_view name);
 std::string_view to_string(SlotClockMode mode);
-std::string_view to_string(PredictCadence cadence);
 
 }  // namespace corp::sim

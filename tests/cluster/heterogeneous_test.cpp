@@ -9,23 +9,16 @@
 #include <cstdint>
 #include <utility>
 
+#include "../common/sim_fixture.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/environment.hpp"
 #include "sim/simulation.hpp"
-#include "sim/workloads.hpp"
-#include "trace/generator.hpp"
-#include "util/rng.hpp"
 
 namespace corp::cluster {
 namespace {
 
-trace::Trace tiny_trace(const EnvironmentConfig& env, std::size_t jobs,
-                        std::uint64_t seed) {
-  trace::GoogleTraceGenerator gen(
-      sim::scaled_generator_config(env, jobs, 10));
-  util::Rng rng(seed);
-  return gen.generate(rng);
-}
+using testfix::expect_identical;
+using testfix::tiny_trace;
 
 sim::SimulationResult run_corp(const EnvironmentConfig& env,
                                std::size_t shards, std::size_t threads,
@@ -114,16 +107,7 @@ TEST(HeterogeneousClusterTest, HeterogeneousRunIsShardInvariant) {
 
   const sim::SimulationResult sharded =
       run_corp(env, 8, 4, training, eval);
-  EXPECT_EQ(serial.overall_utilization, sharded.overall_utilization);
-  EXPECT_EQ(serial.slo_violation_rate, sharded.slo_violation_rate);
-  EXPECT_EQ(serial.mean_stretch, sharded.mean_stretch);
-  EXPECT_EQ(serial.jobs_completed, sharded.jobs_completed);
-  EXPECT_EQ(serial.jobs_violated, sharded.jobs_violated);
-  EXPECT_EQ(serial.reserved_placements, sharded.reserved_placements);
-  EXPECT_EQ(serial.opportunistic_placements,
-            sharded.opportunistic_placements);
-  EXPECT_EQ(serial.lease_promotions, sharded.lease_promotions);
-  EXPECT_EQ(serial.slots_simulated, sharded.slots_simulated);
+  expect_identical(serial, sharded);
 }
 
 TEST(HeterogeneousClusterTest, ReservedCapThrottlesAdmission) {
@@ -159,11 +143,7 @@ TEST(HeterogeneousClusterTest, ReservedCapThrottlesAdmission) {
   // The cap also holds under sharding.
   const sim::SimulationResult with_cap_sharded =
       run_corp(capped, 4, 2, training, eval);
-  EXPECT_EQ(with_cap.reserved_placements,
-            with_cap_sharded.reserved_placements);
-  EXPECT_EQ(with_cap.jobs_completed, with_cap_sharded.jobs_completed);
-  EXPECT_EQ(with_cap.overall_utilization,
-            with_cap_sharded.overall_utilization);
+  expect_identical(with_cap, with_cap_sharded);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // wall-clock latency fields may differ.
 #include <gtest/gtest.h>
 
+#include "../common/sim_fixture.hpp"
 #include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 
@@ -36,23 +37,7 @@ TEST(ObsDeterminismTest, MetricsOnOffProduceBitIdenticalResults) {
   // Simulation outputs, exact: any drift means instrumentation leaked
   // into simulation state or an RNG stream.
   EXPECT_EQ(on.sim.method, off.sim.method);
-  for (std::size_t r = 0; r < trace::kNumResources; ++r) {
-    EXPECT_EQ(on.sim.mean_utilization[r], off.sim.mean_utilization[r]);
-    EXPECT_EQ(on.sim.mean_wastage[r], off.sim.mean_wastage[r]);
-  }
-  EXPECT_EQ(on.sim.overall_utilization, off.sim.overall_utilization);
-  EXPECT_EQ(on.sim.overall_wastage, off.sim.overall_wastage);
-  EXPECT_EQ(on.sim.slo_violation_rate, off.sim.slo_violation_rate);
-  EXPECT_EQ(on.sim.mean_stretch, off.sim.mean_stretch);
-  EXPECT_EQ(on.sim.jobs_completed, off.sim.jobs_completed);
-  EXPECT_EQ(on.sim.jobs_violated, off.sim.jobs_violated);
-  EXPECT_EQ(on.sim.jobs_forced, off.sim.jobs_forced);
-  EXPECT_EQ(on.sim.opportunistic_placements,
-            off.sim.opportunistic_placements);
-  EXPECT_EQ(on.sim.reserved_placements, off.sim.reserved_placements);
-  EXPECT_EQ(on.sim.lease_promotions, off.sim.lease_promotions);
-  EXPECT_EQ(on.sim.lease_preemptions, off.sim.lease_preemptions);
-  EXPECT_EQ(on.sim.slots_simulated, off.sim.slots_simulated);
+  testfix::expect_identical(on.sim, off.sim);
   // compute_latency_ms / total_latency_ms are wall-clock measurements and
   // legitimately differ run to run; they are deliberately not compared.
 

@@ -13,83 +13,26 @@
 #include <utility>
 #include <vector>
 
+#include "../common/sim_fixture.hpp"
 #include "../common/trace_fixture.hpp"
 #include "fault/fault.hpp"
 #include "sim/job_source.hpp"
 #include "sim/simulation.hpp"
 #include "sim/slot_clock.hpp"
-#include "trace/generator.hpp"
 #include "trace/stream_reader.hpp"
 #include "util/rng.hpp"
 
 namespace corp::sim {
 namespace {
 
-trace::Trace tiny_trace(const cluster::EnvironmentConfig& env,
-                        std::size_t jobs, std::uint64_t seed) {
-  trace::GoogleTraceGenerator gen(scaled_generator_config(env, jobs, 10));
-  util::Rng rng(seed);
-  return gen.generate(rng);
-}
+using testfix::heavy_faults;
+using testfix::sparse_trace;
+using testfix::tiny_trace;
 
-/// `bursts` arrival waves separated by `gap`-slot idle valleys: the
-/// generator spreads submissions over [0, bursts); remapping slot k to
-/// k * gap keeps each wave's internal ordering while opening spans the
-/// event clock can jump.
-trace::Trace sparse_trace(const cluster::EnvironmentConfig& env,
-                          std::size_t jobs, std::int64_t bursts,
-                          std::int64_t gap, std::uint64_t seed) {
-  trace::GoogleTraceGenerator gen(scaled_generator_config(env, jobs, bursts));
-  util::Rng rng(seed);
-  trace::Trace t = gen.generate(rng);
-  for (trace::Job& job : t.jobs()) {
-    job.submit_slot = (job.submit_slot % bursts) * gap;
-  }
-  t.sort();
-  return t;
-}
-
-/// Heavy fault mix that is certain to fire on a short run.
-fault::FaultConfig heavy_faults() {
-  fault::FaultConfig faults;
-  faults.vm_mttf_slots = 15.0;
-  faults.vm_mttr_slots = 6.0;
-  faults.telemetry_gap_rate = 0.10;
-  faults.straggler_rate = 0.25;
-  faults.predictor_fault_rate = 0.10;
-  return faults;
-}
-
-/// Every result field except the wall-clock latencies and the clock
-/// diagnostics (slots_ticked/slots_skipped differ between modes by
-/// design — their sum is pinned instead). Doubles compare exactly: the
-/// contract is bit identity, not tolerance.
+/// The shared field comparison (slots_ticked/slots_skipped are left out:
+/// they differ between modes by design), plus the clock's own invariant.
 void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  for (std::size_t r = 0; r < trace::kNumResources; ++r) {
-    EXPECT_EQ(a.mean_utilization[r], b.mean_utilization[r])
-        << "resource " << r;
-    EXPECT_EQ(a.mean_wastage[r], b.mean_wastage[r]) << "resource " << r;
-  }
-  EXPECT_EQ(a.overall_utilization, b.overall_utilization);
-  EXPECT_EQ(a.overall_wastage, b.overall_wastage);
-  EXPECT_EQ(a.slo_violation_rate, b.slo_violation_rate);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.jobs_violated, b.jobs_violated);
-  EXPECT_EQ(a.jobs_forced, b.jobs_forced);
-  EXPECT_EQ(a.opportunistic_placements, b.opportunistic_placements);
-  EXPECT_EQ(a.reserved_placements, b.reserved_placements);
-  EXPECT_EQ(a.lease_promotions, b.lease_promotions);
-  EXPECT_EQ(a.lease_preemptions, b.lease_preemptions);
-  EXPECT_EQ(a.vm_crashes, b.vm_crashes);
-  EXPECT_EQ(a.vm_recoveries, b.vm_recoveries);
-  EXPECT_EQ(a.jobs_killed, b.jobs_killed);
-  EXPECT_EQ(a.job_retries, b.job_retries);
-  EXPECT_EQ(a.jobs_dropped, b.jobs_dropped);
-  EXPECT_EQ(a.telemetry_gaps, b.telemetry_gaps);
-  EXPECT_EQ(a.degradation_tier, b.degradation_tier);
-  EXPECT_EQ(a.predictions_amortized, b.predictions_amortized);
-  EXPECT_EQ(a.slots_simulated, b.slots_simulated);
+  testfix::expect_identical(a, b);
   // The clock never invents or loses time: ticked + skipped spans the
   // whole simulated range in both modes.
   EXPECT_EQ(a.slots_ticked + a.slots_skipped, a.slots_simulated);

@@ -7,62 +7,18 @@
 // barrier. Mirrors tests/predict/batch_equivalence_test.cpp, one layer up.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
-#include <vector>
 
+#include "../common/sim_fixture.hpp"
 #include "sim/simulation.hpp"
-#include "trace/generator.hpp"
-#include "util/rng.hpp"
 
 namespace corp::sim {
 namespace {
 
-trace::Trace tiny_trace(const cluster::EnvironmentConfig& env,
-                        std::size_t jobs, std::uint64_t seed) {
-  trace::GoogleTraceGenerator gen(scaled_generator_config(env, jobs, 10));
-  util::Rng rng(seed);
-  return gen.generate(rng);
-}
-
-/// Heavy fault mix that is certain to fire on a short run.
-fault::FaultConfig heavy_faults() {
-  fault::FaultConfig faults;
-  faults.vm_mttf_slots = 15.0;
-  faults.vm_mttr_slots = 6.0;
-  faults.telemetry_gap_rate = 0.10;
-  faults.straggler_rate = 0.25;
-  faults.predictor_fault_rate = 0.10;
-  return faults;
-}
-
-/// Every result field except the wall-clock latencies, which legitimately
-/// vary run to run. Doubles compare exactly: the contract is bit
-/// identity, not tolerance.
-void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  for (std::size_t r = 0; r < trace::kNumResources; ++r) {
-    EXPECT_EQ(a.mean_utilization[r], b.mean_utilization[r]) << "resource " << r;
-    EXPECT_EQ(a.mean_wastage[r], b.mean_wastage[r]) << "resource " << r;
-  }
-  EXPECT_EQ(a.overall_utilization, b.overall_utilization);
-  EXPECT_EQ(a.overall_wastage, b.overall_wastage);
-  EXPECT_EQ(a.slo_violation_rate, b.slo_violation_rate);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.jobs_violated, b.jobs_violated);
-  EXPECT_EQ(a.jobs_forced, b.jobs_forced);
-  EXPECT_EQ(a.opportunistic_placements, b.opportunistic_placements);
-  EXPECT_EQ(a.reserved_placements, b.reserved_placements);
-  EXPECT_EQ(a.lease_promotions, b.lease_promotions);
-  EXPECT_EQ(a.lease_preemptions, b.lease_preemptions);
-  EXPECT_EQ(a.vm_crashes, b.vm_crashes);
-  EXPECT_EQ(a.vm_recoveries, b.vm_recoveries);
-  EXPECT_EQ(a.jobs_killed, b.jobs_killed);
-  EXPECT_EQ(a.job_retries, b.job_retries);
-  EXPECT_EQ(a.jobs_dropped, b.jobs_dropped);
-  EXPECT_EQ(a.telemetry_gaps, b.telemetry_gaps);
-  EXPECT_EQ(a.degradation_tier, b.degradation_tier);
-  EXPECT_EQ(a.slots_simulated, b.slots_simulated);
-}
+using testfix::expect_identical;
+using testfix::heavy_faults;
+using testfix::tiny_trace;
 
 SimulationResult run_with(const cluster::EnvironmentConfig& env,
                           Method method, const fault::FaultConfig& faults,

@@ -2,17 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../common/sim_fixture.hpp"
 #include "sim/experiment.hpp"
 
 namespace corp::sim {
 namespace {
 
-trace::Trace tiny_trace(std::size_t jobs, std::uint64_t seed) {
-  trace::GoogleTraceGenerator gen(scaled_generator_config(
-      cluster::EnvironmentConfig::PalmettoCluster(), jobs, 10));
-  util::Rng rng(seed);
-  return gen.generate(rng);
-}
+using testfix::tiny_trace;
 
 SimulationConfig tiny_config(Method method) {
   SimulationConfig config;

@@ -11,48 +11,16 @@
 #include <utility>
 #include <vector>
 
+#include "../common/sim_fixture.hpp"
 #include "../common/trace_fixture.hpp"
 #include "sim/job_source.hpp"
 #include "sim/simulation.hpp"
-#include "sim/workloads.hpp"
-#include "trace/generator.hpp"
 #include "trace/stream_reader.hpp"
-#include "util/rng.hpp"
 
 namespace corp::sim {
 namespace {
 
-trace::Trace tiny_training(const cluster::EnvironmentConfig& env,
-                           std::uint64_t seed) {
-  trace::GoogleTraceGenerator gen(scaled_generator_config(env, 60, 10));
-  util::Rng rng(seed);
-  return gen.generate(rng);
-}
-
-/// Every result field except the wall-clock latencies. Doubles compare
-/// exactly: the contract is bit identity, not tolerance.
-void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  for (std::size_t r = 0; r < trace::kNumResources; ++r) {
-    EXPECT_EQ(a.mean_utilization[r], b.mean_utilization[r])
-        << "resource " << r;
-    EXPECT_EQ(a.mean_wastage[r], b.mean_wastage[r]) << "resource " << r;
-  }
-  EXPECT_EQ(a.overall_utilization, b.overall_utilization);
-  EXPECT_EQ(a.overall_wastage, b.overall_wastage);
-  EXPECT_EQ(a.slo_violation_rate, b.slo_violation_rate);
-  EXPECT_EQ(a.mean_stretch, b.mean_stretch);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.jobs_violated, b.jobs_violated);
-  EXPECT_EQ(a.jobs_forced, b.jobs_forced);
-  EXPECT_EQ(a.opportunistic_placements, b.opportunistic_placements);
-  EXPECT_EQ(a.reserved_placements, b.reserved_placements);
-  EXPECT_EQ(a.lease_promotions, b.lease_promotions);
-  EXPECT_EQ(a.lease_preemptions, b.lease_preemptions);
-  EXPECT_EQ(a.jobs_killed, b.jobs_killed);
-  EXPECT_EQ(a.job_retries, b.job_retries);
-  EXPECT_EQ(a.jobs_dropped, b.jobs_dropped);
-  EXPECT_EQ(a.slots_simulated, b.slots_simulated);
-}
+using testfix::expect_identical;
 
 Simulation trained_simulation(const cluster::EnvironmentConfig& env,
                               std::size_t shards, std::size_t threads) {
@@ -63,7 +31,7 @@ Simulation trained_simulation(const cluster::EnvironmentConfig& env,
   config.params.shards = shards;
   config.params.threads = threads;
   Simulation sim(std::move(config));
-  sim.train(tiny_training(env, 11));
+  sim.train(testfix::tiny_trace(env, 60, 11));
   return sim;
 }
 

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "../common/sim_fixture.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulation.hpp"
 
@@ -43,13 +44,8 @@ TEST(TimelineTest, CsvHasHeaderAndRows) {
 
 TEST(TimelineTest, SimulationRecordsWhenEnabled) {
   const auto env = cluster::EnvironmentConfig::PalmettoCluster();
-  trace::GoogleTraceGenerator train_gen(
-      scaled_generator_config(env, 60, 30));
-  util::Rng train_rng(5);
-  const trace::Trace training = train_gen.generate(train_rng);
-  trace::GoogleTraceGenerator eval_gen(scaled_generator_config(env, 20, 10));
-  util::Rng eval_rng(6);
-  const trace::Trace eval = eval_gen.generate(eval_rng);
+  const trace::Trace training = testfix::tiny_trace(env, 60, 5, 30);
+  const trace::Trace eval = testfix::tiny_trace(env, 20, 6);
 
   SimulationConfig config;
   config.method = Method::kDra;
@@ -72,10 +68,7 @@ TEST(TimelineTest, SimulationRecordsWhenEnabled) {
 }
 
 TEST(TimelineTest, SimulationSkipsWhenDisabled) {
-  const auto env = cluster::EnvironmentConfig::PalmettoCluster();
-  trace::GoogleTraceGenerator gen(scaled_generator_config(env, 20, 10));
-  util::Rng rng(7);
-  const trace::Trace trace = gen.generate(rng);
+  const trace::Trace trace = testfix::tiny_trace(20, 7);
   SimulationConfig config;
   config.method = Method::kDra;
   Simulation sim(std::move(config));

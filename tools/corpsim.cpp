@@ -71,6 +71,8 @@ real traces (docs/traces.md): run accepts
   --long-tasks P       drop (default: paper's short-job filter) | segment
   --chunk-kb K         ingest chunk size in KiB (throughput knob; results
                        are bit-identical for every K)
+  VM crashes (--vm-mttf > 0) are rejected with --trace-file; the other
+  fault classes stream fine
 
 environments: cluster (Palmetto, default), ec2 (Amazon EC2),
               slurm-het (mixed node classes with a capped burst partition)
@@ -381,6 +383,17 @@ void print_results(const std::vector<predict::Method>& methods,
 /// the paper's training protocol.
 int run_trace_stream(const util::ArgParser& args, const RunSetup& setup,
                      predict::Method method) {
+  // The VM-crash plan is drawn once, over the horizon known when the run
+  // starts, and a fresh stream knows none: crashes would silently stop
+  // after the first grace span. The other fault classes are stateless per
+  // (job, slot) and stream fine.
+  if (setup.experiment.faults.vm_mttf_slots > 0.0) {
+    throw std::invalid_argument(
+        "--trace-file cannot inject VM crashes (--vm-mttf > 0, also set by "
+        "--fault-intensity): the crash plan is sized from the horizon "
+        "known at start, which a streamed trace does not have; pass "
+        "--vm-mttf 0 to keep the other fault classes");
+  }
   const std::string path = args.get("trace-file", "");
   trace::StreamReaderConfig stream;
   stream.schema =
