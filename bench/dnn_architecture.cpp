@@ -1,12 +1,11 @@
 // DNN architecture ablation: the paper fixes h = 4 hidden layers of
 // N_n = 50 units (Table II, citing Lv et al.'s traffic-prediction work).
 // This bench sweeps depth and width on the unused-resource prediction
-// task and reports accuracy and training/inference cost, plus the
-// speedup of the data-parallel trainer (the paper's future work).
+// task and reports accuracy and training/inference cost.
 #include <chrono>
 #include <iostream>
 
-#include "dnn/parallel_trainer.hpp"
+#include "dnn/trainer.hpp"
 #include "figure_common.hpp"
 #include "util/table.hpp"
 
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
       {"4 x 100", 4, 100}, {"6 x 50", 6, 50},
   };
 
-  std::cout << "== architecture sweep (serial trainer) ==\n";
+  std::cout << "== architecture sweep ==\n";
   util::TextTable table({"architecture", "params", "val loss", "epochs",
                          "train ms", "infer us"});
   for (const Arch& arch : archs) {
@@ -86,30 +85,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(report.epochs_run), train_ms,
                    infer_us});
   }
-  std::cout << table.to_string() << '\n';
-
-  std::cout << "== data-parallel training (paper future work, Sec. VI) ==\n";
-  util::TextTable par({"workers", "val loss", "train ms"});
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    util::Rng rng(91);
-    dnn::NetworkConfig net_config;
-    net_config.input_size = 12;
-    dnn::Network net(net_config, rng);
-    dnn::SgdOptimizer opt(0.3);
-    dnn::ParallelTrainerConfig config;
-    config.workers = workers;
-    config.max_epochs = 25;
-    util::Rng trainer_rng(17);
-    dnn::ParallelTrainer trainer(config, trainer_rng);
-    const auto t0 = Clock::now();
-    const dnn::TrainReport report = trainer.fit(net, opt, data);
-    par.add_row(std::to_string(workers),
-                {report.best_validation_loss, ms_since(t0)});
-  }
-  std::cout << par.to_string()
-            << "(speedup requires multiple cores; on one core the "
-               "synchronization overhead shows instead)\n";
-  bench::finish(opts, "dnn_architecture", timer, archs.size() + 3,
-                opts.threads == 0 ? 1 : opts.threads);
+  std::cout << table.to_string();
+  bench::finish(opts, "dnn_architecture", timer, archs.size(), 1);
   return 0;
 }

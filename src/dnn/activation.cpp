@@ -1,34 +1,12 @@
 #include "dnn/activation.hpp"
 
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 namespace corp::dnn {
-
-std::string_view activation_name(Activation a) {
-  switch (a) {
-    case Activation::kSigmoid: return "sigmoid";
-    case Activation::kTanh: return "tanh";
-    case Activation::kRelu: return "relu";
-    case Activation::kIdentity: return "identity";
-  }
-  return "?";
-}
-
-Activation activation_from_name(std::string_view name) {
-  if (name == "sigmoid") return Activation::kSigmoid;
-  if (name == "tanh") return Activation::kTanh;
-  if (name == "relu") return Activation::kRelu;
-  if (name == "identity") return Activation::kIdentity;
-  throw std::invalid_argument("unknown activation: " + std::string(name));
-}
 
 double activate(Activation a, double x) {
   switch (a) {
     case Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-x));
-    case Activation::kTanh: return std::tanh(x);
-    case Activation::kRelu: return x > 0.0 ? x : 0.0;
     case Activation::kIdentity: return x;
   }
   return x;
@@ -37,15 +15,9 @@ double activate(Activation a, double x) {
 double activate_derivative_from_output(Activation a, double y) {
   switch (a) {
     case Activation::kSigmoid: return y * (1.0 - y);
-    case Activation::kTanh: return 1.0 - y * y;
-    case Activation::kRelu: return y > 0.0 ? 1.0 : 0.0;
     case Activation::kIdentity: return 1.0;
   }
   return 1.0;
-}
-
-void activate_inplace(Activation a, std::span<double> xs) {
-  for (double& x : xs) x = activate(a, x);
 }
 
 }  // namespace corp::dnn

@@ -1,28 +1,21 @@
 // Neuron activation functions F and their derivatives F' (Eq. 5-7).
-// The paper uses the sigmoid ("Equ. (5) is a sigmoid function"); the other
-// kinds exist for the ablation benches and for the linear output layer a
-// regression head needs.
+// The paper uses the sigmoid ("Equ. (5) is a sigmoid function") for the
+// hidden layers; identity serves the linear output layer a regression
+// head needs and the pretraining decoder.
 #pragma once
-
-#include <span>
-#include <string_view>
 
 namespace corp::dnn {
 
-enum class Activation { kSigmoid, kTanh, kRelu, kIdentity };
-
-std::string_view activation_name(Activation a);
-Activation activation_from_name(std::string_view name);
+// The values are fixed: 1 and 2 named tanh and relu, which the model no
+// longer uses, and the two kinds kept their numbers when those went.
+enum class Activation { kSigmoid = 0, kIdentity = 3 };
 
 /// F(x).
 double activate(Activation a, double x);
 
 /// F'(x) expressed in terms of the *activation value* y = F(x), matching
 /// how back-propagation evaluates it (Eq. 6 applies F' to g_i, the cached
-/// output): sigmoid' = y(1-y), tanh' = 1-y^2, relu' = [y > 0], id' = 1.
+/// output): sigmoid' = y(1-y), id' = 1.
 double activate_derivative_from_output(Activation a, double y);
-
-/// Applies F in place over a span.
-void activate_inplace(Activation a, std::span<double> xs);
 
 }  // namespace corp::dnn

@@ -53,13 +53,6 @@ Matrix DenseLayer::forward_batch(const Matrix& batch) const {
         }
       }
       break;
-    default:
-      for (std::size_t n = 0; n < out.rows(); ++n) {
-        for (std::size_t i = 0; i < out.cols(); ++i) {
-          out(n, i) = activate(activation_, out(n, i) + bias_[i]);
-        }
-      }
-      break;
   }
   return out;
 }

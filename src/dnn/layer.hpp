@@ -2,7 +2,7 @@
 //
 // Forward (Eq. 5):  g_i(d) = F(sum_j w_ij * g_j(d-1) + e_i)
 // Backward (Eq. 6/7): error terms flow through W^T scaled by F'(g).
-// Gradients accumulate into grad_weights/grad_bias; an Optimizer applies
+// Gradients accumulate into grad_weights/grad_bias; SgdOptimizer applies
 // them (Eq. 8).
 #pragma once
 

@@ -17,12 +17,11 @@ Network::Network(const NetworkConfig& config, util::Rng& rng)
   }
   std::size_t prev = config.input_size;
   for (std::size_t i = 0; i < config.hidden_layers; ++i) {
-    layers_.emplace_back(prev, config.hidden_units, config.hidden_activation,
+    layers_.emplace_back(prev, config.hidden_units, Activation::kSigmoid,
                          rng);
     prev = config.hidden_units;
   }
-  layers_.emplace_back(prev, config.output_size, config.output_activation,
-                       rng);
+  layers_.emplace_back(prev, config.output_size, Activation::kIdentity, rng);
 }
 
 std::vector<DenseLayer*> Network::layer_pointers() {

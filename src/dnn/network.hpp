@@ -24,8 +24,6 @@ struct NetworkConfig {
   std::size_t output_size = 1;            // predicted unused amount
   std::size_t hidden_layers = 4;          // Table II: h = 4
   std::size_t hidden_units = 50;          // Table II: N_n = 50
-  Activation hidden_activation = Activation::kSigmoid;
-  Activation output_activation = Activation::kIdentity;
 };
 
 class Network {
@@ -37,7 +35,7 @@ class Network {
   DenseLayer& layer(std::size_t i) { return layers_[i]; }
   const DenseLayer& layer(std::size_t i) const { return layers_[i]; }
 
-  /// Non-owning pointers to all layers, for Optimizer::bind.
+  /// Non-owning pointers to all layers, for SgdOptimizer::bind.
   std::vector<DenseLayer*> layer_pointers();
 
   /// Feed-forward evaluation caching per-layer state for backward().

@@ -1,104 +1,26 @@
 #include "dnn/optimizer.hpp"
 
-#include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace corp::dnn {
 
-SgdOptimizer::SgdOptimizer(double learning_rate, double momentum)
-    : learning_rate_(learning_rate), momentum_(momentum) {
+SgdOptimizer::SgdOptimizer(double learning_rate)
+    : learning_rate_(learning_rate) {
   if (learning_rate <= 0.0) {
     throw std::invalid_argument("SgdOptimizer: learning_rate must be > 0");
-  }
-  if (momentum < 0.0 || momentum >= 1.0) {
-    throw std::invalid_argument("SgdOptimizer: momentum must be in [0, 1)");
   }
 }
 
 void SgdOptimizer::bind(std::vector<DenseLayer*> layers) {
   layers_ = std::move(layers);
-  velocity_w_.clear();
-  velocity_b_.clear();
-  for (const DenseLayer* layer : layers_) {
-    velocity_w_.emplace_back(layer->outputs(), layer->inputs(), 0.0);
-    velocity_b_.emplace_back(layer->outputs(), 0.0);
-  }
 }
 
 void SgdOptimizer::step() {
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    DenseLayer& layer = *layers_[li];
-    if (momentum_ > 0.0) {
-      Matrix& vw = velocity_w_[li];
-      Vector& vb = velocity_b_[li];
-      for (std::size_t i = 0; i < vw.size(); ++i) {
-        vw.flat()[i] = momentum_ * vw.flat()[i] -
-                       learning_rate_ * layer.grad_weights().flat()[i];
-      }
-      layer.weights().add_scaled(vw, 1.0);
-      for (std::size_t i = 0; i < vb.size(); ++i) {
-        vb[i] = momentum_ * vb[i] - learning_rate_ * layer.grad_bias()[i];
-        layer.bias()[i] += vb[i];
-      }
-    } else {
-      layer.weights().add_scaled(layer.grad_weights(), -learning_rate_);
-      for (std::size_t i = 0; i < layer.bias().size(); ++i) {
-        layer.bias()[i] -= learning_rate_ * layer.grad_bias()[i];
-      }
-    }
-  }
-}
-
-AdamOptimizer::AdamOptimizer(double learning_rate, double beta1, double beta2,
-                             double epsilon)
-    : learning_rate_(learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon) {
-  if (learning_rate <= 0.0) {
-    throw std::invalid_argument("AdamOptimizer: learning_rate must be > 0");
-  }
-}
-
-void AdamOptimizer::bind(std::vector<DenseLayer*> layers) {
-  layers_ = std::move(layers);
-  t_ = 0;
-  m_w_.clear();
-  v_w_.clear();
-  m_b_.clear();
-  v_b_.clear();
-  for (const DenseLayer* layer : layers_) {
-    m_w_.emplace_back(layer->outputs(), layer->inputs(), 0.0);
-    v_w_.emplace_back(layer->outputs(), layer->inputs(), 0.0);
-    m_b_.emplace_back(layer->outputs(), 0.0);
-    v_b_.emplace_back(layer->outputs(), 0.0);
-  }
-}
-
-void AdamOptimizer::step() {
-  ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    DenseLayer& layer = *layers_[li];
-    auto gw = layer.grad_weights().flat();
-    auto w = layer.weights().flat();
-    auto mw = m_w_[li].flat();
-    auto vw = v_w_[li].flat();
-    for (std::size_t i = 0; i < gw.size(); ++i) {
-      mw[i] = beta1_ * mw[i] + (1.0 - beta1_) * gw[i];
-      vw[i] = beta2_ * vw[i] + (1.0 - beta2_) * gw[i] * gw[i];
-      const double mhat = mw[i] / bc1;
-      const double vhat = vw[i] / bc2;
-      w[i] -= learning_rate_ * mhat / (std::sqrt(vhat) + epsilon_);
-    }
-    for (std::size_t i = 0; i < layer.bias().size(); ++i) {
-      const double g = layer.grad_bias()[i];
-      m_b_[li][i] = beta1_ * m_b_[li][i] + (1.0 - beta1_) * g;
-      v_b_[li][i] = beta2_ * v_b_[li][i] + (1.0 - beta2_) * g * g;
-      const double mhat = m_b_[li][i] / bc1;
-      const double vhat = v_b_[li][i] / bc2;
-      layer.bias()[i] -= learning_rate_ * mhat / (std::sqrt(vhat) + epsilon_);
+  for (DenseLayer* layer : layers_) {
+    layer->weights().add_scaled(layer->grad_weights(), -learning_rate_);
+    for (std::size_t i = 0; i < layer->bias().size(); ++i) {
+      layer->bias()[i] -= learning_rate_ * layer->grad_bias()[i];
     }
   }
 }

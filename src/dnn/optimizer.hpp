@@ -1,66 +1,29 @@
-// Gradient-descent optimizers applying Eq. 8 (Delta w = mu * E * g) and the
-// modern variants used by the ablation benches.
+// Gradient-descent optimizer applying Eq. 8 (Delta w = mu * E * g).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "dnn/layer.hpp"
 
 namespace corp::dnn {
 
-/// Applies accumulated layer gradients to layer parameters. step() is
-/// called once per (mini-)batch after backward passes populated the grads.
-class Optimizer {
+/// Plain SGD, the paper's weight update rule: step() subtracts
+/// learning_rate times the accumulated layer gradients from the layer
+/// parameters. It is called once per sample after the backward pass
+/// populated the grads.
+class SgdOptimizer {
  public:
-  virtual ~Optimizer() = default;
+  explicit SgdOptimizer(double learning_rate);
 
-  /// Registers the layers whose parameters this optimizer owns updating.
-  /// Must be called once before step(); re-binding resets internal state.
-  virtual void bind(std::vector<DenseLayer*> layers) = 0;
+  /// Registers the layers whose parameters this optimizer updates. Must
+  /// be called once before step().
+  void bind(std::vector<DenseLayer*> layers);
 
-  virtual void step() = 0;
-};
-
-/// Plain SGD with optional classical momentum. momentum = 0 reproduces the
-/// paper's weight update rule exactly.
-class SgdOptimizer final : public Optimizer {
- public:
-  explicit SgdOptimizer(double learning_rate, double momentum = 0.0);
-
-  void bind(std::vector<DenseLayer*> layers) override;
-  void step() override;
-
-  double learning_rate() const { return learning_rate_; }
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
+  void step();
 
  private:
   double learning_rate_;
-  double momentum_;
   std::vector<DenseLayer*> layers_;
-  std::vector<Matrix> velocity_w_;
-  std::vector<Vector> velocity_b_;
-};
-
-/// Adam (Kingma & Ba) — used to show the prediction stack is robust to the
-/// optimizer choice in the ablation bench.
-class AdamOptimizer final : public Optimizer {
- public:
-  explicit AdamOptimizer(double learning_rate = 1e-3, double beta1 = 0.9,
-                         double beta2 = 0.999, double epsilon = 1e-8);
-
-  void bind(std::vector<DenseLayer*> layers) override;
-  void step() override;
-
- private:
-  double learning_rate_;
-  double beta1_;
-  double beta2_;
-  double epsilon_;
-  std::size_t t_ = 0;
-  std::vector<DenseLayer*> layers_;
-  std::vector<Matrix> m_w_, v_w_;
-  std::vector<Vector> m_b_, v_b_;
 };
 
 }  // namespace corp::dnn

@@ -9,6 +9,13 @@
 
 namespace corp::dnn {
 
+namespace {
+/// Chronological hold-out share of every fit.
+constexpr double kValidationFraction = 0.2;
+/// SGD rate of the layerwise autoencoder pretraining.
+constexpr double kPretrainLearningRate = 0.05;
+}  // namespace
+
 bool Dataset::consistent() const {
   if (inputs.size() != targets.size()) return false;
   if (inputs.empty()) return true;
@@ -55,7 +62,7 @@ void Trainer::pretrain(Network& network, const Dataset& data) {
   for (std::size_t li = 0; li < hidden; ++li) {
     DenseLayer& enc = network.layer(li);
     DenseLayer dec(enc.outputs(), enc.inputs(), Activation::kIdentity, rng_);
-    SgdOptimizer opt(config_.pretrain_learning_rate);
+    SgdOptimizer opt(kPretrainLearningRate);
     opt.bind({&enc, &dec});
     for (std::size_t epoch = 0; epoch < config_.pretrain_epochs; ++epoch) {
       for (std::size_t s = 0; s < data.size(); ++s) {
@@ -78,7 +85,7 @@ void Trainer::pretrain(Network& network, const Dataset& data) {
   }
 }
 
-TrainReport Trainer::fit(Network& network, Optimizer& optimizer,
+TrainReport Trainer::fit(Network& network, SgdOptimizer& optimizer,
                          const Dataset& data) {
   const obs::ScopedTimer fit_timer("dnn.fit");
   if (!data.consistent()) {
@@ -87,7 +94,7 @@ TrainReport Trainer::fit(Network& network, Optimizer& optimizer,
   TrainReport report;
   if (data.size() == 0) return report;
 
-  auto [train, val] = data.split_validation(config_.validation_fraction);
+  auto [train, val] = data.split_validation(kValidationFraction);
   if (train.size() == 0) {
     train = data;  // too little data to hold out; validate on train
     val = data;
@@ -106,13 +113,7 @@ TrainReport Trainer::fit(Network& network, Optimizer& optimizer,
   std::size_t since_best = 0;
   for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
     const auto epoch_start = std::chrono::steady_clock::now();
-    std::vector<std::size_t> order;
-    if (config_.shuffle) {
-      order = rng_.permutation(train.size());
-    } else {
-      order.resize(train.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    }
+    const std::vector<std::size_t> order = rng_.permutation(train.size());
     double train_loss = 0.0;
     for (std::size_t idx : order) {
       network.zero_grad();

@@ -34,13 +34,9 @@ struct TrainerConfig {
   /// `patience` consecutive epochs.
   std::size_t patience = 5;
   double min_delta = 1e-6;
-  double validation_fraction = 0.2;
-  /// Shuffle training order each epoch.
-  bool shuffle = true;
   /// Epochs of layerwise autoencoder pretraining before supervised
   /// training (0 disables).
   std::size_t pretrain_epochs = 3;
-  double pretrain_learning_rate = 0.05;
 };
 
 struct TrainReport {
@@ -56,8 +52,10 @@ class Trainer {
   Trainer(TrainerConfig config, util::Rng& rng);
 
   /// Trains the network in place using the given optimizer. The optimizer
-  /// is bound to the network's layers internally.
-  TrainReport fit(Network& network, Optimizer& optimizer,
+  /// is bound to the network's layers internally. The last 20% of the
+  /// samples are held out for validation, and the training order is
+  /// reshuffled every epoch.
+  TrainReport fit(Network& network, SgdOptimizer& optimizer,
                   const Dataset& data);
 
   /// Mean loss of the network over a dataset without updating weights.

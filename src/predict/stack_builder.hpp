@@ -4,8 +4,8 @@
 // rule CORP-API-001 flags direct CorpStack/RccrStack/CloudScaleStack/
 // DraStack constructions anywhere else, so method-specific option tuning
 // (trainer schedules, ETS trend policy, HMM windows) lives in exactly one
-// place. Defaults come from StackConfig; sim::Params::stack_builder()
-// seeds a builder with the simulation's knobs.
+// place. Defaults come from StackConfig; sim::make_simulation_config
+// fills a StackConfig from sim::Params::stack_config().
 #pragma once
 
 #include <memory>

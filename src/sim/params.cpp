@@ -13,10 +13,6 @@ predict::StackConfig Params::stack_config() const {
   return config;
 }
 
-predict::StackBuilder Params::stack_builder(predict::Method method) const {
-  return predict::StackBuilder(method).config(stack_config());
-}
-
 ReplicationConfig Params::replication_config() const {
   ReplicationConfig config;
   config.replications = replications;

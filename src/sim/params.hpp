@@ -5,7 +5,6 @@
 
 #include <cstddef>
 
-#include "predict/stack_builder.hpp"
 #include "predict/stacks.hpp"
 #include "sim/slot_clock.hpp"
 #include "trace/job.hpp"
@@ -111,10 +110,6 @@ struct Params {
 
   /// Builds the default per-type prediction StackConfig.
   predict::StackConfig stack_config() const;
-
-  /// A StackBuilder pre-seeded with these params' stack knobs — the
-  /// canonical way for CLIs and bench drivers to construct a stack.
-  predict::StackBuilder stack_builder(predict::Method method) const;
 
   /// Builds the ReplicationConfig (replications, confidence, threads)
   /// these params describe.

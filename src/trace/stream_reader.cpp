@@ -9,6 +9,7 @@
 #include <array>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <queue>
@@ -28,9 +29,9 @@ namespace corp::trace {
 
 namespace {
 
-// Same shape as read_trace_csv's diagnostics (trace_io.cpp): 1-based file
-// line plus the offending column, so a broken multi-gigabyte download is
-// debuggable without bisecting it.
+// Every diagnostic names the 1-based file line and the offending column,
+// "line N, field 'F': reason (got 'V')", so a broken multi-gigabyte
+// download is debuggable without bisecting it.
 [[noreturn]] void fail_field(std::uint64_t line, std::string_view column,
                              std::string_view value, std::string_view reason) {
   throw std::runtime_error("read_trace_stream: line " + std::to_string(line) +
@@ -122,6 +123,11 @@ bool parse_f64_field(std::string_view field, std::string_view column,
   const auto result = std::from_chars(first, last, value);
   if (result.ec != std::errc() || result.ptr != last) {
     return defer_error(out, local_line, column, field, "expected a number");
+  }
+  // from_chars accepts "nan" and "inf"; NaN would also pass the sign check.
+  if (!std::isfinite(value)) {
+    return defer_error(out, local_line, column, field,
+                       "expected a finite number");
   }
   if (value < 0.0) {
     return defer_error(out, local_line, column, field, "negative value");
@@ -609,7 +615,7 @@ struct StreamReader::Impl {
       return resample_job(coarse, resample, rng);
     }
     // A single coarse record still covers a full window of fine slots
-    // (no interior anchors to interpolate) — same as google_format.
+    // (no interior anchors to interpolate).
     Job fine = std::move(coarse);
     const ResourceVector sample = fine.usage.front();
     fine.usage.assign(slots_per_sample, sample);
@@ -718,7 +724,7 @@ struct StreamReader::Impl {
       } else {
         if (!task.windows.empty()) {
           // The trace omits windows with unchanged usage; repeat the
-          // previous record across the gap, as google_format does.
+          // previous record across the gap.
           const std::int64_t missing =
               (row.start_us - task.next_window_us) / window_us;
           const ResourceVector fill = task.windows.back();

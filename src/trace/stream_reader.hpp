@@ -34,8 +34,8 @@
 #include <string_view>
 #include <vector>
 
-#include "trace/google_format.hpp"
 #include "trace/job.hpp"
+#include "trace/resampler.hpp"
 
 namespace corp::util {
 class ThreadPool;
@@ -61,6 +61,28 @@ std::string_view schema_name(TraceSchema schema);
 /// Inverse of schema_name ("google-v2" | "azure-vm"); throws
 /// std::invalid_argument on anything else.
 TraceSchema parse_schema_name(std::string_view name);
+
+/// Machine scales and preprocessing of the Google schema. Timestamps are
+/// microseconds, usage records cover 5-minute windows, and CPU and memory
+/// are normalized to the largest machine. The paper's preprocessing: the
+/// coarse windows are resampled to 10-second slots and long tasks dropped.
+struct GoogleFormatConfig {
+  /// Microseconds per coarse usage record (5 minutes in the trace).
+  std::int64_t usage_window_us = 300'000'000;
+  /// Storage capacity (GB) that a disk_request of 1.0 corresponds to.
+  double storage_scale_gb = 720.0;
+  /// CPU cores that a cpu_request of 1.0 corresponds to.
+  double cpu_scale_cores = 16.0;
+  /// Memory (GB) that a memory_request of 1.0 corresponds to.
+  double mem_scale_gb = 64.0;
+  /// Resampling of the coarse records into 10-second slots.
+  ResampleConfig resample;
+  /// Drop tasks longer than this many fine slots (the paper's removal of
+  /// long-lived jobs). 0 disables the filter.
+  std::size_t max_duration_slots = kShortJobMaxSlots;
+  /// SLO stretch assigned to loaded tasks (the trace has no SLOs).
+  double slo_stretch = 1.10;
+};
 
 /// What to do with tasks whose assembled duration exceeds
 /// max_duration_slots.
@@ -154,8 +176,8 @@ class StreamReader {
 
   /// Ingests one batch of chunks (or performs the final flush). Returns
   /// true while more input remains, false once exhausted. Malformed
-  /// input raises std::runtime_error naming the 1-based line and field,
-  /// in the read_trace_csv convention.
+  /// input raises std::runtime_error of the form "line N, field 'F':
+  /// reason (got 'V')", N being the 1-based file line.
   bool advance();
 
   /// Moves out all jobs emitted since the previous call. Jobs carry

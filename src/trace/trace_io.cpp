@@ -1,8 +1,6 @@
 #include "trace/trace_io.hpp"
 
 #include <fstream>
-#include <istream>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 
@@ -15,68 +13,6 @@ const std::vector<std::string> kHeader = {
     "job_id",  "class",    "submit_slot", "duration_slots",
     "slo_stretch", "req_cpu", "req_mem",     "req_storage",
     "slot",    "use_cpu",  "use_mem",     "use_storage"};
-
-// Parse-error helper: every diagnostic names the 1-based file line and the
-// offending column so a broken multi-gigabyte trace is debuggable without
-// bisecting the file. The header is line 1; data row i is line i + 2.
-[[noreturn]] void fail_field(std::size_t line, const std::string& column,
-                             const std::string& value,
-                             const std::string& reason) {
-  throw std::runtime_error("read_trace_csv: line " + std::to_string(line) +
-                           ", field '" + column + "': " + reason + " (got '" +
-                           value + "')");
-}
-
-std::uint64_t parse_u64(const std::string& value, std::size_t line,
-                        const std::string& column) {
-  std::size_t consumed = 0;
-  std::uint64_t out = 0;
-  try {
-    out = std::stoull(value, &consumed);
-  } catch (const std::invalid_argument&) {
-    fail_field(line, column, value, "expected an unsigned integer");
-  } catch (const std::out_of_range&) {
-    fail_field(line, column, value, "unsigned integer out of range");
-  }
-  if (consumed != value.size() || value.front() == '-') {
-    fail_field(line, column, value, "expected an unsigned integer");
-  }
-  return out;
-}
-
-std::int64_t parse_i64(const std::string& value, std::size_t line,
-                       const std::string& column) {
-  std::size_t consumed = 0;
-  std::int64_t out = 0;
-  try {
-    out = std::stoll(value, &consumed);
-  } catch (const std::invalid_argument&) {
-    fail_field(line, column, value, "expected an integer");
-  } catch (const std::out_of_range&) {
-    fail_field(line, column, value, "integer out of range");
-  }
-  if (consumed != value.size()) {
-    fail_field(line, column, value, "expected an integer");
-  }
-  return out;
-}
-
-double parse_double(const std::string& value, std::size_t line,
-                    const std::string& column) {
-  std::size_t consumed = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(value, &consumed);
-  } catch (const std::invalid_argument&) {
-    fail_field(line, column, value, "expected a number");
-  } catch (const std::out_of_range&) {
-    fail_field(line, column, value, "number out of range");
-  }
-  if (consumed != value.size()) {
-    fail_field(line, column, value, "expected a number");
-  }
-  return out;
-}
 }  // namespace
 
 void write_trace_csv(const Trace& trace, std::ostream& out) {
@@ -107,69 +43,6 @@ void write_trace_csv_file(const Trace& trace, const std::string& path) {
     throw std::runtime_error("write_trace_csv_file: cannot open " + path);
   }
   write_trace_csv(trace, out);
-}
-
-Trace read_trace_csv(std::istream& in) {
-  const util::CsvDocument doc = util::read_csv(in);
-  if (doc.header != kHeader) {
-    std::string expected;
-    for (const auto& column : kHeader) {
-      if (!expected.empty()) expected += ",";
-      expected += column;
-    }
-    throw std::runtime_error(
-        "read_trace_csv: line 1: unexpected header (expected '" + expected +
-        "')");
-  }
-  std::map<std::uint64_t, Job> jobs;
-  for (std::size_t i = 0; i < doc.rows.size(); ++i) {
-    const auto& row = doc.rows[i];
-    const std::size_t line = i + 2;
-    if (row.size() != kHeader.size()) {
-      throw std::runtime_error(
-          "read_trace_csv: line " + std::to_string(line) + ": expected " +
-          std::to_string(kHeader.size()) + " fields, got " +
-          std::to_string(row.size()));
-    }
-    const std::uint64_t id = parse_u64(row[0], line, "job_id");
-    Job& job = jobs[id];
-    job.id = id;
-    const std::int64_t job_class = parse_i64(row[1], line, "class");
-    if (job_class < 0 || job_class > static_cast<int>(JobClass::kBalanced)) {
-      fail_field(line, "class", row[1], "job class out of range");
-    }
-    job.job_class = static_cast<JobClass>(job_class);
-    job.submit_slot = parse_i64(row[2], line, "submit_slot");
-    job.duration_slots =
-        static_cast<std::size_t>(parse_u64(row[3], line, "duration_slots"));
-    job.slo_stretch = parse_double(row[4], line, "slo_stretch");
-    job.request = ResourceVector(parse_double(row[5], line, "req_cpu"),
-                                 parse_double(row[6], line, "req_mem"),
-                                 parse_double(row[7], line, "req_storage"));
-    const auto slot = static_cast<std::size_t>(parse_u64(row[8], line, "slot"));
-    if (job.usage.size() <= slot) job.usage.resize(slot + 1);
-    job.usage[slot] = ResourceVector(parse_double(row[9], line, "use_cpu"),
-                                     parse_double(row[10], line, "use_mem"),
-                                     parse_double(row[11], line, "use_storage"));
-  }
-  std::vector<Job> list;
-  list.reserve(jobs.size());
-  for (auto& [id, job] : jobs) {
-    if (!job.valid()) {
-      throw std::runtime_error("read_trace_csv: invalid job " +
-                               std::to_string(id));
-    }
-    list.push_back(std::move(job));
-  }
-  return Trace(std::move(list));
-}
-
-Trace read_trace_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("read_trace_csv_file: cannot open " + path);
-  }
-  return read_trace_csv(in);
 }
 
 }  // namespace corp::trace

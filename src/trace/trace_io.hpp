@@ -1,6 +1,6 @@
-// Trace serialization. Format: one CSV row per (job, slot) usage sample,
+// Trace export. Format: one CSV row per (job, slot) usage sample,
 // mirroring how cluster traces ship (long format), so external tools can
-// consume generated traces and we can replay recorded ones.
+// consume generated traces (`corpsim trace-gen`).
 //
 // Columns:
 //   job_id, class, submit_slot, duration_slots, slo_stretch,
@@ -14,16 +14,9 @@
 
 namespace corp::trace {
 
-/// Writes the trace in long CSV format.
+/// Writes the trace in long CSV format; doubles carry 12 significant
+/// digits.
 void write_trace_csv(const Trace& trace, std::ostream& out);
 void write_trace_csv_file(const Trace& trace, const std::string& path);
-
-/// Parses a trace written by write_trace_csv. Malformed input (bad header,
-/// wrong field count, non-numeric or out-of-range fields) raises
-/// std::runtime_error naming the 1-based line and the offending column; rows
-/// that fail semantic validation (negative demand, usage above request,
-/// inconsistent duration) raise std::runtime_error with the offending job id.
-Trace read_trace_csv(std::istream& in);
-Trace read_trace_csv_file(const std::string& path);
 
 }  // namespace corp::trace

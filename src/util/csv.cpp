@@ -1,52 +1,10 @@
 #include "util/csv.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 namespace corp::util {
-
-std::size_t CsvDocument::column(std::string_view name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  return npos;
-}
-
-std::vector<std::string> split_csv_line(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        current.push_back(c);
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else if (c == '\r') {
-      // Tolerate CRLF line endings.
-    } else {
-      current.push_back(c);
-    }
-  }
-  fields.push_back(std::move(current));
-  return fields;
-}
 
 std::string escape_csv_field(std::string_view field) {
   const bool needs_quotes =
@@ -59,29 +17,6 @@ std::string escape_csv_field(std::string_view field) {
   }
   out.push_back('"');
   return out;
-}
-
-CsvDocument read_csv(std::istream& in) {
-  CsvDocument doc;
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto fields = split_csv_line(line);
-    if (first) {
-      doc.header = std::move(fields);
-      first = false;
-    } else {
-      doc.rows.push_back(std::move(fields));
-    }
-  }
-  return doc;
-}
-
-CsvDocument read_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_csv_file: cannot open " + path);
-  return read_csv(in);
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {

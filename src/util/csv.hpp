@@ -1,5 +1,5 @@
-// Minimal CSV reading/writing used for trace serialization and for dumping
-// figure series from the benchmark harnesses.
+// Minimal CSV writing used for trace export and for dumping figure series
+// from the benchmark harnesses.
 #pragma once
 
 #include <iosfwd>
@@ -9,28 +9,8 @@
 
 namespace corp::util {
 
-/// A parsed CSV document: a header row plus data rows of strings.
-struct CsvDocument {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  /// Index of a named column, or npos when absent.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t column(std::string_view name) const;
-};
-
-/// Splits one CSV line on commas, honouring double-quoted fields with
-/// embedded commas and doubled quotes ("" -> ").
-std::vector<std::string> split_csv_line(std::string_view line);
-
 /// Quotes a field if it contains a comma, quote or newline.
 std::string escape_csv_field(std::string_view field);
-
-/// Parses an entire CSV stream; first line is the header.
-CsvDocument read_csv(std::istream& in);
-
-/// Parses a CSV file from disk. Throws std::runtime_error if unreadable.
-CsvDocument read_csv_file(const std::string& path);
 
 /// Writer that streams rows out with proper escaping.
 class CsvWriter {

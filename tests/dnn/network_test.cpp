@@ -107,9 +107,8 @@ TEST(NetworkTest, LearnsXorShapedProblem) {
   config.hidden_layers = 2;
   config.hidden_units = 8;
   config.output_size = 1;
-  config.hidden_activation = Activation::kTanh;
   Network net(config, rng);
-  SgdOptimizer opt(0.1, 0.9);
+  SgdOptimizer opt(0.3);
   opt.bind(net.layer_pointers());
 
   const double xs[4][2] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};

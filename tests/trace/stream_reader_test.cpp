@@ -4,12 +4,13 @@
 //    chunk size, batch size and worker count (chunk boundaries are pure
 //    byte offsets; rows re-merge in file order before assembly);
 //  * diagnostics — malformed input fails fast with the 1-based file line
-//    and offending field, in the read_trace_csv convention, and the
-//    error text itself is chunking-invariant.
+//    and offending field ("line N, field 'F': reason"), and the error
+//    text itself is chunking-invariant.
 //
-// Plus the windowing semantics real downloads depend on: split
-// sub-window records merge, skipped windows gap-fill, long tasks drop or
-// segment per policy, and safe_submit_slot() is a true lower bound.
+// Plus the windowing semantics real downloads depend on: machine scales
+// and request headroom, split sub-window records merge, skipped windows
+// gap-fill, long tasks drop or segment per policy, and
+// safe_submit_slot() is a true lower bound.
 #include "trace/stream_reader.hpp"
 
 #include <gtest/gtest.h>
@@ -86,6 +87,38 @@ TEST(StreamReaderTest, ChunkingAndThreadingAreBitIdentical) {
   parallel_config.chunk_bytes = 8192;
   expect_same_trace(reference,
                     StreamReader::read_all(path, parallel_config, &pool));
+}
+
+TEST(StreamReaderTest, ScalesByMachineConstantsWithRequestHeadroom) {
+  // One single-window task: normalized usage scales by the machine
+  // constants (16 cores, 64 GB, 720 GB), the window repeats over its 30
+  // fine slots without interpolation, and the declared request is the
+  // peak times the headroom.
+  const std::string path = write_file(
+      "stream_scales.csv",
+      "#corp-trace schema=google-v2\n" +
+          testfix::google_row(kEpochUs, kEpochUs + kWindowUs, 9, 0.25, 0.5,
+                              0.01));
+  StreamReaderConfig config;
+  const Trace trace = StreamReader::read_all(path, config);
+  ASSERT_EQ(trace.size(), 1u);
+  const Job& job = trace.jobs().front();
+  const ResourceVector expected(0.25 * 16.0, 0.5 * 64.0, 0.01 * 720.0);
+  ASSERT_EQ(job.usage.size(), kShortJobMaxSlots);
+  EXPECT_EQ(job.duration_slots, kShortJobMaxSlots);
+  for (std::size_t t = 0; t < job.usage.size(); ++t) {
+    for (std::size_t r = 0; r < kNumResources; ++r) {
+      EXPECT_EQ(job.usage[t][r], expected[r]) << "slot " << t;
+    }
+  }
+  EXPECT_EQ(config.request_headroom, 1.25);
+  const ResourceVector request = expected * config.request_headroom;
+  for (std::size_t r = 0; r < kNumResources; ++r) {
+    EXPECT_EQ(job.request[r], request[r]) << "resource " << r;
+  }
+  EXPECT_EQ(job.slo_stretch, 1.10);
+  // Memory's 0.5 share is at least 1.5x CPU's 0.25, the runner-up.
+  EXPECT_EQ(job.job_class, JobClass::kMemIntensive);
 }
 
 TEST(StreamReaderTest, SplitSubWindowRecordsMergeIntoOneWindow) {
@@ -366,6 +399,35 @@ TEST(StreamReaderTest, NonNumericUsageRejected) {
   EXPECT_NE(message.find("line 2"), std::string::npos) << message;
   EXPECT_NE(message.find("'mean_cpu'"), std::string::npos) << message;
   EXPECT_NE(message.find("banana"), std::string::npos) << message;
+}
+
+TEST(StreamReaderTest, NonFiniteUsageRejected) {
+  // from_chars parses "nan" and "inf"; neither is a usage value.
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(value);
+    const std::string path = write_file(
+        "stream_nonfinite.csv",
+        "#corp-trace schema=google-v2\n" + kGoodRow +
+            "600000000,900000000,12,0,12," + value +
+            ",0.008,0,0,0,0,0,0.0005\n");
+    const std::string message = stream_error(path, {});
+    EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+    EXPECT_NE(message.find("'mean_cpu'"), std::string::npos) << message;
+    EXPECT_NE(message.find("expected a finite number"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(StreamReaderTest, AzureNonFiniteReadingRejected) {
+  StreamReaderConfig config;
+  config.schema = TraceSchema::kAzureVm;
+  const std::string path = write_file("stream_azure_nan.csv",
+                                      "600,vm-a,10.0,40.0,nan\n");
+  const std::string message = stream_error(path, config);
+  EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("'avg_cpu'"), std::string::npos) << message;
+  EXPECT_NE(message.find("expected a finite number"), std::string::npos)
+      << message;
 }
 
 TEST(StreamReaderTest, AzurePercentOutOfRangeRejected) {

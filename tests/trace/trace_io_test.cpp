@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/generator.hpp"
 
@@ -18,31 +22,52 @@ Trace sample_trace() {
   return gen.generate(rng);
 }
 
-TEST(TraceIoTest, RoundTripPreservesJobs) {
-  const Trace original = sample_trace();
-  std::ostringstream out;
-  write_trace_csv(original, out);
-  std::istringstream in(out.str());
-  const Trace loaded = read_trace_csv(in);
+std::vector<std::string> split_line(const std::string& line) {
+  std::vector<std::string> fields;
+  std::istringstream in(line);
+  std::string field;
+  while (std::getline(in, field, ',')) fields.push_back(field);
+  return fields;
+}
 
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    const Job& a = original.jobs()[i];
-    const Job& b = loaded.jobs()[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.job_class, b.job_class);
-    EXPECT_EQ(a.submit_slot, b.submit_slot);
-    EXPECT_EQ(a.duration_slots, b.duration_slots);
-    EXPECT_NEAR(a.slo_stretch, b.slo_stretch, 1e-9);
-    for (std::size_t r = 0; r < kNumResources; ++r) {
-      EXPECT_NEAR(a.request[r], b.request[r], 1e-9);
-    }
-    ASSERT_EQ(a.usage.size(), b.usage.size());
-    for (std::size_t t = 0; t < a.usage.size(); ++t) {
-      for (std::size_t r = 0; r < kNumResources; ++r) {
-        EXPECT_NEAR(a.usage[t][r], b.usage[t][r], 1e-9);
-      }
-    }
+TEST(TraceIoTest, FirstRowMatchesJob) {
+  const Trace trace = sample_trace();
+  ASSERT_GT(trace.size(), 0u);
+  std::ostringstream out;
+  write_trace_csv(trace, out);
+  std::istringstream in(out.str());
+  std::string header;
+  std::string row;
+  ASSERT_TRUE(std::getline(in, header));
+  ASSERT_TRUE(std::getline(in, row));
+  EXPECT_EQ(split_line(header),
+            (std::vector<std::string>{
+                "job_id", "class", "submit_slot", "duration_slots",
+                "slo_stretch", "req_cpu", "req_mem", "req_storage", "slot",
+                "use_cpu", "use_mem", "use_storage"}));
+
+  const Job& job = trace.jobs().front();
+  const std::vector<double> expected{
+      static_cast<double>(job.id),
+      static_cast<double>(static_cast<int>(job.job_class)),
+      static_cast<double>(job.submit_slot),
+      static_cast<double>(job.duration_slots),
+      job.slo_stretch,
+      job.request.cpu(),
+      job.request.memory(),
+      job.request.storage(),
+      0.0,
+      job.usage[0].cpu(),
+      job.usage[0].memory(),
+      job.usage[0].storage()};
+  const std::vector<std::string> fields = split_line(row);
+  ASSERT_EQ(fields.size(), expected.size());
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    // 12 significant digits: relative error at most half a unit in the
+    // twelfth digit.
+    EXPECT_NEAR(std::stod(fields[i]), expected[i],
+                5e-12 * std::abs(expected[i]))
+        << "column " << i << " ('" << fields[i] << "')";
   }
 }
 
@@ -59,104 +84,21 @@ TEST(TraceIoTest, RowCountMatchesTotalSlots) {
   EXPECT_EQ(lines, total_slots + 1);  // + header
 }
 
-TEST(TraceIoTest, BadHeaderThrows) {
-  std::istringstream in("wrong,header\n1,2\n");
-  EXPECT_THROW(read_trace_csv(in), std::runtime_error);
-}
-
-TEST(TraceIoTest, InvalidJobRejected) {
-  // A row whose usage exceeds the request must be rejected on load.
-  std::ostringstream out;
-  out << "job_id,class,submit_slot,duration_slots,slo_stretch,"
-         "req_cpu,req_mem,req_storage,slot,use_cpu,use_mem,use_storage\n";
-  out << "1,0,0,1,1.2,1.0,1.0,1.0,0,5.0,0.5,0.5\n";
-  std::istringstream in(out.str());
-  EXPECT_THROW(read_trace_csv(in), std::runtime_error);
-}
-
-// Captures the diagnostic text so the negative tests below can pin that a
-// parse error names the 1-based line and the offending column.
-std::string parse_error(const std::string& csv) {
-  std::istringstream in(csv);
-  try {
-    read_trace_csv(in);
-  } catch (const std::runtime_error& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "expected read_trace_csv to throw";
-  return {};
-}
-
-constexpr const char* kGoodHeader =
-    "job_id,class,submit_slot,duration_slots,slo_stretch,"
-    "req_cpu,req_mem,req_storage,slot,use_cpu,use_mem,use_storage\n";
-
-TEST(TraceIoTest, BadHeaderNamesLineAndExpectation) {
-  const std::string message =
-      parse_error("job_id,klass,submit_slot\n1,0,0\n");
-  EXPECT_NE(message.find("line 1"), std::string::npos) << message;
-  EXPECT_NE(message.find("unexpected header"), std::string::npos) << message;
-  EXPECT_NE(message.find("job_id,class"), std::string::npos) << message;
-}
-
-TEST(TraceIoTest, TruncatedRowNamesLineAndFieldCount) {
-  // Second data row (file line 3) is missing its usage columns.
-  const std::string message =
-      parse_error(std::string(kGoodHeader) +
-                  "1,0,0,1,1.2,1.0,1.0,1.0,0,0.5,0.5,0.5\n"
-                  "1,0,0,1,1.2,1.0,1.0\n");
-  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
-  EXPECT_NE(message.find("expected 12 fields, got 7"), std::string::npos)
-      << message;
-}
-
-TEST(TraceIoTest, NonNumericFieldNamesLineAndColumn) {
-  const std::string message =
-      parse_error(std::string(kGoodHeader) +
-                  "1,0,0,1,1.2,banana,1.0,1.0,0,0.5,0.5,0.5\n");
-  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
-  EXPECT_NE(message.find("'req_cpu'"), std::string::npos) << message;
-  EXPECT_NE(message.find("banana"), std::string::npos) << message;
-}
-
-TEST(TraceIoTest, TrailingGarbageInIntegerRejected) {
-  // "12abc" parses as 12 under raw std::stoull; the hardened reader
-  // requires full consumption and names the column.
-  const std::string message =
-      parse_error(std::string(kGoodHeader) +
-                  "12abc,0,0,1,1.2,1.0,1.0,1.0,0,0.5,0.5,0.5\n");
-  EXPECT_NE(message.find("'job_id'"), std::string::npos) << message;
-  EXPECT_NE(message.find("12abc"), std::string::npos) << message;
-}
-
-TEST(TraceIoTest, NegativeUnsignedFieldRejected) {
-  const std::string message =
-      parse_error(std::string(kGoodHeader) +
-                  "1,0,0,-4,1.2,1.0,1.0,1.0,0,0.5,0.5,0.5\n");
-  EXPECT_NE(message.find("'duration_slots'"), std::string::npos) << message;
-}
-
-TEST(TraceIoTest, JobClassOutOfRangeRejected) {
-  const std::string message =
-      parse_error(std::string(kGoodHeader) +
-                  "1,9,0,1,1.2,1.0,1.0,1.0,0,0.5,0.5,0.5\n");
-  EXPECT_NE(message.find("'class'"), std::string::npos) << message;
-  EXPECT_NE(message.find("out of range"), std::string::npos) << message;
-}
-
 TEST(TraceIoTest, MissingFileThrows) {
-  EXPECT_THROW(read_trace_csv_file("/nonexistent/trace.csv"),
-               std::runtime_error);
   EXPECT_THROW(write_trace_csv_file(Trace{}, "/nonexistent/dir/trace.csv"),
                std::runtime_error);
 }
 
-TEST(TraceIoTest, FileRoundTrip) {
+TEST(TraceIoTest, FileMatchesStreamOutput) {
   const Trace original = sample_trace();
   const std::string path = testing::TempDir() + "/corp_trace_test.csv";
   write_trace_csv_file(original, path);
-  const Trace loaded = read_trace_csv_file(path);
-  EXPECT_EQ(loaded.size(), original.size());
+  std::ostringstream expected;
+  write_trace_csv(original, expected);
+  std::ifstream in(path);
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), expected.str());
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 //   corpsim compare    run all four methods on the same workload
 //   corpsim replicate  multi-seed replication with confidence intervals
 //   corpsim trace-gen  synthesize a workload trace to CSV
-//   corpsim convert    convert Google clusterdata-2011 extracts to CSV
 //   corpsim help       this text
 //
 // Common flags: --env cluster|ec2, --jobs N, --seed S, --threads T,
@@ -29,7 +28,6 @@
 #include "sim/replication.hpp"
 #include "sim/slot_clock.hpp"
 #include "sim/workloads.hpp"
-#include "trace/google_format.hpp"
 #include "trace/stats.hpp"
 #include "trace/stream_reader.hpp"
 #include "trace/trace_io.hpp"
@@ -55,9 +53,8 @@ subcommands:
              confidence intervals; replicas run in parallel on T threads
              (0 = all cores) with bit-identical results to serial
   trace-gen  --out trace.csv [--jobs N] [--workload KIND] [--seed S]
-  stats      --trace trace.csv | [--jobs N --workload KIND --seed S]
+  stats      [--jobs N --workload KIND --seed S]
   backtest   --method M [--jobs N] ... walk-forward forecast scoring
-  convert    --events task_events.csv --usage task_usage.csv --out trace.csv
   help
 
 workload kinds: paper-sweep (default), burst, trickle, heavy-tail,
@@ -154,9 +151,8 @@ std::optional<std::vector<std::string>> known_flags(
   if (command == "compare") return add({});
   if (command == "replicate") return add({"method", "sched", "reps"});
   if (command == "trace-gen") return add({"out"});
-  if (command == "stats") return add({"trace"});
+  if (command == "stats") return add({});
   if (command == "backtest") return add({"method", "sched"});
-  if (command == "convert") return add({"events", "usage", "out"});
   return std::nullopt;
 }
 
@@ -414,6 +410,8 @@ int run_trace_stream(const util::ArgParser& args, const RunSetup& setup,
   }
   stream.chunk_bytes = chunk_kb * 1024;
   stream.seed = setup.experiment.seed;
+  // Open the file before training, so an unreadable path fails at once.
+  trace::StreamReader reader(path, stream);
 
   const auto& experiment = setup.experiment;
   trace::GoogleTraceGenerator train_gen(sim::scaled_generator_config(
@@ -431,7 +429,6 @@ int run_trace_stream(const util::ArgParser& args, const RunSetup& setup,
             << trace::schema_name(stream.schema) << ") into "
             << predict::method_name(method) << " on "
             << experiment.environment.name << "\n";
-  trace::StreamReader reader(path, stream);
   sim::StreamingJobSource source(reader);
   const sim::SimulationResult result = simulation.run(source);
 
@@ -525,19 +522,13 @@ int cmd_trace_gen(const util::ArgParser& args) {
 }
 
 int cmd_stats(const util::ArgParser& args) {
-  trace::Trace trace;
-  if (args.has("trace")) {
-    trace = trace::read_trace_csv_file(args.get("trace", ""));
-    std::cout << "trace " << args.get("trace", "") << ":\n\n";
-  } else {
-    const RunSetup setup = setup_from(args);
-    trace::GoogleTraceGenerator gen(sim::workload_config(
-        setup.workload, setup.experiment.environment, setup.jobs));
-    util::Rng rng(setup.experiment.seed);
-    trace = gen.generate(rng);
-    std::cout << "synthetic " << sim::workload_name(setup.workload)
-              << " workload:\n\n";
-  }
+  const RunSetup setup = setup_from(args);
+  trace::GoogleTraceGenerator gen(sim::workload_config(
+      setup.workload, setup.experiment.environment, setup.jobs));
+  util::Rng rng(setup.experiment.seed);
+  const trace::Trace trace = gen.generate(rng);
+  std::cout << "synthetic " << sim::workload_name(setup.workload)
+            << " workload:\n\n";
   trace::print_stats(trace::compute_stats(trace), std::cout);
   return 0;
 }
@@ -585,24 +576,6 @@ int cmd_backtest(const util::ArgParser& args) {
   return 0;
 }
 
-int cmd_convert(const util::ArgParser& args) {
-  const std::string events = args.get("events", "");
-  const std::string usage_path = args.get("usage", "");
-  const std::string out = args.get("out", "trace.csv");
-  if (events.empty() || usage_path.empty()) {
-    std::cerr << "convert requires --events and --usage\n";
-    return 2;
-  }
-  trace::GoogleFormatConfig config;
-  util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
-  const trace::Trace trace =
-      trace::load_google_trace(events, usage_path, config, rng);
-  trace::write_trace_csv_file(trace, out);
-  std::cout << "converted " << trace.size() << " short-lived tasks to "
-            << out << '\n';
-  return 0;
-}
-
 int dispatch(const std::string& command, const util::ArgParser& args) {
   if (command == "run") return cmd_run(args);
   if (command == "compare") return cmd_compare(args);
@@ -610,7 +583,6 @@ int dispatch(const std::string& command, const util::ArgParser& args) {
   if (command == "trace-gen") return cmd_trace_gen(args);
   if (command == "stats") return cmd_stats(args);
   if (command == "backtest") return cmd_backtest(args);
-  if (command == "convert") return cmd_convert(args);
   return 2;  // unreachable: main rejects unknown subcommands first
 }
 
