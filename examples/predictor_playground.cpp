@@ -10,7 +10,6 @@
 #include <iomanip>
 #include <iostream>
 
-#include "predict/stack_builder.hpp"
 #include "predict/stacks.hpp"
 #include "sim/experiment.hpp"
 #include "util/table.hpp"
@@ -44,8 +43,7 @@ int main(int argc, char** argv) {
   util::Rng rng(seed * 7 + 1);
   std::vector<std::unique_ptr<predict::PredictionStack>> stacks;
   for (predict::Method m : predict::kAllMethods) {
-    stacks.push_back(
-        predict::StackBuilder(m).config(stack_config).build(rng));
+    stacks.push_back(predict::make_stack(m, stack_config, rng));
     stacks.back()->train(corpus.per_type[kCpu]);
   }
 

@@ -84,9 +84,9 @@ class SeriesPredictor {
 
 /// The provisioning methods compared in Sec. IV, plus kPredAware — the
 /// prediction-aware online allocator with an explicit consistency–
-/// robustness trust knob (Buchbinder et al.; sched/pred_aware_scheduler
-/// .hpp). It runs CORP's prediction stack, so it is not part of the
-/// paper-figure method set below.
+/// robustness trust knob (Buchbinder et al.): CORP's scheduler built with
+/// a trust input (sched/corp_scheduler.hpp). It runs CORP's prediction
+/// stack, so it is not part of the paper-figure method set below.
 enum class Method { kCorp, kRccr, kCloudScale, kDra, kPredAware };
 
 std::string_view method_name(Method m);

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
-#include "predict/stack_builder.hpp"
 #include "util/stats.hpp"
 
 namespace corp::predict {
@@ -287,16 +288,78 @@ void DraStack::record_outcome(double actual, double predicted) {
 
 // ------------------------------------------------------------- factory --
 
+namespace {
+
+void validate(const StackConfig& config) {
+  const auto bad = [](const std::string& field, const std::string& why) {
+    throw std::invalid_argument("make_stack: " + field + " " + why);
+  };
+  if (!(config.confidence_level > 0.0 && config.confidence_level < 1.0)) {
+    bad("confidence_level", "must be in (0, 1)");
+  }
+  if (!(config.error_tolerance >= 0.0)) {
+    bad("error_tolerance", "must be >= 0");
+  }
+  // 0 is a legitimate operating point: the Eq. 21 gate opens as soon as a
+  // stack has any outcome history (used by tests and warm-up studies).
+  if (!(config.probability_threshold >= 0.0 &&
+        config.probability_threshold <= 1.0)) {
+    bad("probability_threshold", "must be in [0, 1]");
+  }
+  if (config.error_history == 0) bad("error_history", "must be >= 1");
+  if (config.horizon_slots == 0) bad("horizon_slots", "must be >= 1");
+}
+
+}  // namespace
+
 std::unique_ptr<PredictionStack> make_stack(Method method,
                                             const StackConfig& config,
                                             util::Rng& rng,
                                             bool enable_hmm_correction,
                                             bool enable_confidence_bound) {
-  return StackBuilder(method)
-      .config(config)
-      .hmm_correction(enable_hmm_correction)
-      .confidence_bound(enable_confidence_bound)
-      .build(rng);
+  validate(config);
+  switch (method) {
+    // Pred-aware consumes CORP's forecasts — same DNN + HMM +
+    // confidence-bound stack, same trainer schedule — and differs only in
+    // how much the *scheduler* trusts them, so the two cases share one
+    // construction path.
+    case Method::kPredAware:
+    case Method::kCorp: {
+      CorpStack::Options options;
+      options.stack = config;
+      options.dnn.horizon_slots = config.horizon_slots;
+      options.dnn.trainer.max_epochs = 40;
+      options.dnn.trainer.patience = 5;
+      options.dnn.trainer.min_delta = 1e-7;
+      options.dnn.trainer.pretrain_epochs = 2;
+      options.hmm.window_slots = config.horizon_slots;
+      options.enable_hmm_correction = enable_hmm_correction;
+      options.enable_confidence_bound = enable_confidence_bound;
+      return std::make_unique<CorpStack>(options, rng);
+    }
+    case Method::kRccr: {
+      RccrStack::Options options;
+      options.stack = config;
+      // Holt's linear ETS: the trend component is what the RCCR paper's
+      // forecaster carries, and on pattern-free bursty series it is also
+      // what extrapolates burst edges into the future wrongly — the
+      // failure mode Sec. IV attributes to time-series forecasting.
+      options.ets.allow_no_trend = false;
+      options.ets.trend_damping = 0.95;
+      return std::make_unique<RccrStack>(options);
+    }
+    case Method::kCloudScale: {
+      CloudScaleStack::Options options;
+      options.stack = config;
+      return std::make_unique<CloudScaleStack>(options);
+    }
+    case Method::kDra: {
+      DraStack::Options options;
+      options.stack = config;
+      return std::make_unique<DraStack>(options);
+    }
+  }
+  throw std::invalid_argument("make_stack: unknown method");
 }
 
 }  // namespace corp::predict

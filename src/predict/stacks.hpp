@@ -201,10 +201,13 @@ class DraStack final : public PredictionStack {
   PredictionErrorTracker tracker_;
 };
 
-/// Builds the stack matching a Method with paper-default options. The two
-/// flags are CORP-only ablation switches (ignored by the baselines). Thin
-/// wrapper over StackBuilder (see predict/stack_builder.hpp), kept for
-/// positional-call ergonomics in tests.
+/// Builds the stack matching a Method with its paper-default option
+/// tuning (trainer schedules, ETS trend policy, HMM windows). Validates
+/// every StackConfig knob first and throws std::invalid_argument naming
+/// the bad field. The two flags are CORP-only ablation switches (ignored
+/// by the baselines). All stack construction outside this file goes
+/// through here; the analyzer rule CORP-API-001 flags direct
+/// CorpStack/RccrStack/CloudScaleStack/DraStack construction elsewhere.
 std::unique_ptr<PredictionStack> make_stack(Method method,
                                             const StackConfig& config,
                                             util::Rng& rng,

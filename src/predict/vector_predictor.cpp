@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "predict/stack_builder.hpp"
+#include "predict/stacks.hpp"
 
 namespace corp::predict {
 
@@ -65,11 +65,8 @@ VectorPredictor::VectorPredictor(Method method, const StackConfig& config,
                                  const HealthConfig& health)
     : method_(method), monitor_(health) {
   for (std::size_t r = 0; r < kNumResources; ++r) {
-    stacks_[r] = StackBuilder(method)
-                     .config(config)
-                     .hmm_correction(enable_hmm_correction)
-                     .confidence_bound(enable_confidence_bound)
-                     .build(rng);
+    stacks_[r] = make_stack(method, config, rng, enable_hmm_correction,
+                            enable_confidence_bound);
   }
   // The fallback rung is the conservative ETS lower-bound stack. When the
   // primary already is that stack (RCCR) the ladder skips straight to
@@ -77,7 +74,7 @@ VectorPredictor::VectorPredictor(Method method, const StackConfig& config,
   // stack is deterministic), so fault-free streams are unchanged.
   if (method != Method::kRccr) {
     for (std::size_t r = 0; r < kNumResources; ++r) {
-      fallback_[r] = StackBuilder(Method::kRccr).config(config).build(rng);
+      fallback_[r] = make_stack(Method::kRccr, config, rng);
     }
   }
 }

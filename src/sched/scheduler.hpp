@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -113,8 +112,5 @@ class Scheduler {
                                      const DemandHistory& history,
                                      const ResourceVector& current);
 };
-
-/// Factory with paper-default settings for each method.
-std::unique_ptr<Scheduler> make_scheduler(Method method, util::Rng& rng);
 
 }  // namespace corp::sched

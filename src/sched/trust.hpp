@@ -1,4 +1,6 @@
-// Consistency–robustness trust control for prediction-aware allocation.
+// Consistency–robustness trust control for prediction-aware allocation:
+// the adaptive trust input of CorpScheduler under method pred-aware
+// (sched/corp_scheduler.hpp).
 //
 // Buchbinder et al., "Online Virtual Machine Allocation with Predictions",
 // interpolates between an algorithm that follows the forecast (consistency)
@@ -33,24 +35,11 @@ struct TrustSignals {
   double probability_threshold = 0.95;
 };
 
-struct TrustAdaptationConfig {
-  /// Trust ceiling while the ladder sits on the ETS fallback rung: the
-  /// fallback forecast is usable but coarse, so at most this much of it
-  /// is pledged.
-  double fallback_cap = 0.45;
-  /// Exponent of the (1 - fault_fraction) penalty; > 1 makes trust fall
-  /// faster than the fault rate rises (a 10% poisoned window costs ~19%
-  /// trust at the default square).
-  double fault_exponent = 2.0;
-  /// Lower bound on adaptive trust while the ladder still allows any
-  /// opportunistic placement; 0 lets trust collapse to pure demand-based
-  /// admission. Reserved-only always maps to 0 regardless.
-  double floor = 0.0;
-};
-
 /// Maps TrustSignals to λ: tier ceiling x fault penalty x gate margin.
-/// Pure between calls except for remembering the last computed value
-/// (exposed for diagnostics and the robustness-frontier bench).
+/// The ETS-fallback ceiling (0.45), the fault-penalty exponent (2) and
+/// the floor (0) are fixed constants (sched/trust.cpp). Pure between
+/// calls except for remembering the last computed value (exposed for
+/// diagnostics and the robustness-frontier bench).
 ///
 /// Sampling cadence: the simulation loop samples TrustSignals and calls
 /// update() only on placement slots (a non-empty queue), never on idle
@@ -59,15 +48,12 @@ struct TrustAdaptationConfig {
 /// only ever skips idle slots, cannot change it.
 class TrustController {
  public:
-  explicit TrustController(TrustAdaptationConfig config = {});
-
   /// Deterministic trust update; returns the new λ in [0, 1].
   double update(const TrustSignals& signals);
 
   double lambda() const { return lambda_; }
 
  private:
-  TrustAdaptationConfig config_;
   double lambda_ = 1.0;
 };
 

@@ -104,12 +104,16 @@ SimulationConfig make_simulation_config(const ExperimentConfig& experiment,
 
   predict::StackConfig stack = experiment.params.stack_config();
   switch (method) {
-    case Method::kCorp: {
+    case Method::kCorp:
+    case Method::kPredAware: {
       // More aggressive -> lower gate threshold, wider tolerance, less
       // conservative confidence bound -> more opportunistic reuse; past
       // the midpoint the scheduler also overcommits the predicted pools
       // and trims tenant carves, which is where the SLO risk really
-      // comes from at the high end of Fig. 8's curve.
+      // comes from at the high end of Fig. 8's curve. Pred-aware is the
+      // same scheduler over the same forecasts, differing only in the
+      // trust λ Simulation hands it from Params, so at trust 1 a sweep
+      // point is CORP's placement behavior.
       stack.probability_threshold = lerp(0.95, 0.30, a);
       stack.error_tolerance =
           experiment.params.error_tolerance * lerp(1.0, 4.0, a);
@@ -140,26 +144,6 @@ SimulationConfig make_simulation_config(const ExperimentConfig& experiment,
       sched::DraSchedulerConfig dra;
       dra.entitlement_scale = lerp(1.15, 0.90, a);
       config.dra_scheduler = dra;
-      break;
-    }
-    case Method::kPredAware: {
-      // Same forecast-side and placement-knob mapping as CORP: the
-      // prediction-aware scheduler differs only in how much it trusts
-      // the stack, which is exactly what the trust knob expresses — so
-      // at trust 1 a sweep point is CORP's placement behavior over
-      // CORP's forecasts.
-      stack.probability_threshold = lerp(0.95, 0.30, a);
-      stack.error_tolerance =
-          experiment.params.error_tolerance * lerp(1.0, 4.0, a);
-      stack.confidence_level = lerp(0.88, 0.45, a);
-      sched::PredictionAwareConfig pred_aware;
-      const double hot = std::max(0.0, a - 0.5) * 2.0;
-      pred_aware.corp.pool_safety =
-          lerp(0.72, 0.85, std::min(a * 2.0, 1.0)) + 0.85 * hot;
-      pred_aware.corp.opportunistic_sizing = 0.92 - 0.04 * a - 0.35 * hot;
-      pred_aware.trust = experiment.params.trust;
-      pred_aware.adaptive = experiment.params.trust_adaptive;
-      config.pred_aware = pred_aware;
       break;
     }
   }

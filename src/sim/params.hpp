@@ -15,11 +15,11 @@ struct ReplicationConfig;
 
 struct Params {
   // --- Table II ---
-  /// Number of servers N_p: 30-50 (50 on the cluster, 30 on EC2).
-  std::size_t num_servers_cluster = 50;
-  std::size_t num_servers_ec2 = 30;
-  /// Number of VMs N_v: 100-400 (cluster default 200 = 50 x 4).
-  std::size_t vms_per_pm = 4;
+  // The rest of Table II lives where the code reads it: servers N_p in
+  // cluster::EnvironmentConfig's presets (50 Palmetto, 30 EC2), the DNN
+  // shape (h = 4 layers of N_n = 50 units) and history Delta = 12 in
+  // predict::DnnPredictorConfig, the HMM's H = 3 states in
+  // predict::HmmCorrectorConfig.
   /// Number of jobs |J|: 50-300 with step 50.
   std::size_t jobs_min = 50;
   std::size_t jobs_max = 300;
@@ -28,22 +28,13 @@ struct Params {
   static constexpr std::size_t kResourceTypes = trace::kNumResources;
   /// Probability threshold P_th = 0.95.
   double probability_threshold = 0.95;
-  /// DNN: h = 4 layers, N_n = 50 units per layer.
-  std::size_t dnn_layers = 4;
-  std::size_t dnn_units = 50;
-  /// HMM: H = 3 states.
-  std::size_t hmm_states = 3;
-  /// Significance level theta: 5%-30%; confidence level eta: 50%-90%.
-  double significance_min = 0.05;
-  double significance_max = 0.30;
-  double confidence_min = 0.50;
+  /// Confidence level eta: 50%-90%; the default stack runs at the top
+  /// of the range (stack_config()).
   double confidence_max = 0.90;
 
   // --- derived / fixed by Sec. III-IV ---
   /// Prediction window L = 1 minute = 6 slots of 10 s.
   std::size_t window_slots = trace::kWindowSlots;
-  /// Per-job history slots Delta fed to the DNN.
-  std::size_t history_slots = 12;
   /// Eq. 21 error tolerance epsilon, as a fraction of the training-corpus
   /// mean unused amount (resolved per resource type at train time). Must
   /// comfortably exceed the conservative bias the confidence bound
@@ -99,10 +90,10 @@ struct Params {
   /// L - 1 slots stale), itself bit-identical across clock modes and
   /// shard/thread counts.
   PredictCadence predict_cadence = PredictCadence::kEverySlot;
-  /// Trust λ of the prediction-aware scheduler (sched/pred_aware_
-  /// scheduler.hpp): 1 follows the forecast like CORP, 0 is demand-based
-  /// worst-case admission, intermediate values blend the admission
-  /// thresholds. Read only by method pred-aware.
+  /// Trust λ of method pred-aware, handed by Simulation to CorpScheduler
+  /// (sched/corp_scheduler.hpp): 1 follows the forecast like CORP, 0 is
+  /// demand-based worst-case admission, intermediate values blend the
+  /// admission thresholds. Read only by method pred-aware.
   double trust = 1.0;
   /// Drive λ online from predictor-health signals instead of the fixed
   /// value (`--trust auto`).

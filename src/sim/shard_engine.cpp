@@ -14,7 +14,7 @@
 #include "dnn/network.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
-#include "sched/pred_aware_scheduler.hpp"
+#include "sched/corp_scheduler.hpp"
 #include "sched/trust.hpp"
 #include "sim/slot_clock.hpp"
 #include "util/seed_streams.hpp"
@@ -1023,9 +1023,8 @@ struct RunState {
     result.jobs_violated = slo.violations();
     result.degradation_tier = static_cast<int>(predictor.tier());
     if (pred_aware) {
-      const auto* pa =
-          dynamic_cast<const sched::PredictionAwareScheduler*>(&scheduler);
-      if (pa != nullptr) result.trust_lambda = pa->current_trust();
+      const auto* corp = dynamic_cast<const sched::CorpScheduler*>(&scheduler);
+      if (corp != nullptr) result.trust_lambda = corp->current_trust();
     }
     result.compute_latency_ms = compute_ms;
     result.total_latency_ms = compute_ms + comm_us / 1000.0;

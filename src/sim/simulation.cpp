@@ -110,9 +110,17 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
       config_.enable_confidence_bound);
   switch (config_.method) {
     case Method::kCorp:
+    case Method::kPredAware: {
+      // One placement loop for both: CORP is the trust input fixed at
+      // λ = 1; pred-aware takes Params' λ. Either way the tie-break stream
+      // hangs off the run seed like every other per-run stream.
+      const bool pred_aware = config_.method == Method::kPredAware;
       scheduler_ = std::make_unique<sched::CorpScheduler>(
-          config_.corp_scheduler.value_or(sched::CorpSchedulerConfig{}));
+          config_.corp_scheduler.value_or(sched::CorpSchedulerConfig{}),
+          config_.method, pred_aware ? config_.params.trust : 1.0,
+          pred_aware && config_.params.trust_adaptive, config_.seed);
       break;
+    }
     case Method::kRccr:
       scheduler_ = std::make_unique<sched::RccrScheduler>();
       break;
@@ -125,17 +133,6 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
       scheduler_ = std::make_unique<sched::DraScheduler>(
           config_.dra_scheduler.value_or(sched::DraSchedulerConfig{}));
       break;
-    case Method::kPredAware: {
-      sched::PredictionAwareConfig pred_aware =
-          config_.pred_aware.value_or(sched::PredictionAwareConfig{});
-      // The tie-break stream hangs off the run seed, not whatever the
-      // caller left in the config, so replicas and sweeps derive it the
-      // same way as every other per-run stream.
-      pred_aware.seed = config_.seed;
-      scheduler_ =
-          std::make_unique<sched::PredictionAwareScheduler>(pred_aware);
-      break;
-    }
   }
 }
 

@@ -49,7 +49,6 @@
 #include "predict/vector_predictor.hpp"
 #include "sched/baseline_schedulers.hpp"
 #include "sched/corp_scheduler.hpp"
-#include "sched/pred_aware_scheduler.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/job_source.hpp"
 #include "sim/params.hpp"
@@ -66,14 +65,12 @@ struct SimulationConfig {
       cluster::EnvironmentConfig::PalmettoCluster();
   Method method = Method::kCorp;
   Params params;
-  /// Overrides for ablations; when unset, make_scheduler defaults apply.
+  /// Scheduler overrides for ablations and sweeps; when unset, the
+  /// config structs' defaults apply. corp_scheduler serves both CORP and
+  /// pred-aware, whose trust λ comes from params.trust/trust_adaptive.
   std::optional<sched::CorpSchedulerConfig> corp_scheduler;
   std::optional<sched::CloudScaleSchedulerConfig> cloudscale_scheduler;
   std::optional<sched::DraSchedulerConfig> dra_scheduler;
-  /// Prediction-aware scheduler knobs (trust λ, adaptive mode). The
-  /// simulation overrides the embedded seed with its own run seed so the
-  /// tie-break stream hangs off the experiment seed like every other.
-  std::optional<sched::PredictionAwareConfig> pred_aware;
   /// Stack overrides (confidence level, P_th, epsilon) for sweeps.
   std::optional<predict::StackConfig> stack;
   /// CORP ablations forwarded into CorpStack.
@@ -127,8 +124,8 @@ struct SimulationResult {
   /// Predictor degradation tier when the run ended (0 = primary,
   /// 1 = ETS fallback, 2 = reserved-only).
   int degradation_tier = 0;
-  /// Trust λ of the prediction-aware scheduler at run end (its adaptive
-  /// trajectory's last point; 1.0 for every other method).
+  /// Trust λ of method pred-aware at run end (its adaptive trajectory's
+  /// last point; 1.0 for every other method).
   double trust_lambda = 1.0;
   std::int64_t slots_simulated = 0;
   // --- slot-clock diagnostics (sim/slot_clock.hpp). slots_ticked +

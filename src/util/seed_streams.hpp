@@ -50,10 +50,11 @@ inline constexpr std::uint64_t kFaultPredictor = 0x50464c54ULL;  // "PFLT"
 /// .cpp; substream: task key + segment), so the fine-grained series a task
 /// gets is independent of chunk size, batch size and worker count.
 inline constexpr std::uint64_t kTraceIngest = 0x54494e47ULL;  // "TING"
-/// Prediction-aware scheduler tie-breaking (sched/pred_aware_scheduler
-/// .cpp): candidate selection among exactly-tied most-matched volumes at
-/// interior trust values. Dedicated stream so the λ∈{0,1} endpoints stay
-/// bit-identical to the reference schedulers, which draw nothing.
+/// Trust-scaled CORP placement tie-breaking (sched/corp_scheduler.cpp,
+/// method pred-aware): candidate selection among exactly-tied
+/// most-matched volumes at interior trust values. Dedicated stream so the
+/// λ∈{0,1} endpoints stay bit-identical to the reference placements,
+/// which draw nothing.
 inline constexpr std::uint64_t kTrustAdaptation = 0x54525354ULL;  // "TRST"
 
 namespace detail {

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "predict/stack_builder.hpp"
-
 namespace corp::predict {
 namespace {
 
@@ -124,35 +122,36 @@ TEST(CorpStackTest, GateRespectsThreshold) {
   EXPECT_FALSE(closed_stack.unlocked());
 }
 
-TEST(StackBuilderTest, RejectsOutOfRangeKnobs) {
+TEST(MakeStackTest, RejectsOutOfRangeKnobs) {
   util::Rng rng(3);
   const auto build_with = [&rng](auto mutate) {
-    StackBuilder builder(Method::kRccr);
-    mutate(builder);
-    return builder.build(rng);
+    StackConfig config;
+    mutate(config);
+    return make_stack(Method::kRccr, config, rng);
   };
-  EXPECT_THROW(build_with([](StackBuilder& b) { b.confidence_level(0.0); }),
+  EXPECT_THROW(build_with([](StackConfig& c) { c.confidence_level = 0.0; }),
                std::invalid_argument);
-  EXPECT_THROW(build_with([](StackBuilder& b) { b.confidence_level(1.0); }),
+  EXPECT_THROW(build_with([](StackConfig& c) { c.confidence_level = 1.0; }),
                std::invalid_argument);
   EXPECT_THROW(
-      build_with([](StackBuilder& b) { b.probability_threshold(-0.1); }),
+      build_with([](StackConfig& c) { c.probability_threshold = -0.1; }),
       std::invalid_argument);
   EXPECT_THROW(
-      build_with([](StackBuilder& b) { b.probability_threshold(1.5); }),
+      build_with([](StackConfig& c) { c.probability_threshold = 1.5; }),
       std::invalid_argument);
-  EXPECT_THROW(build_with([](StackBuilder& b) { b.error_tolerance(-1.0); }),
+  EXPECT_THROW(build_with([](StackConfig& c) { c.error_tolerance = -1.0; }),
                std::invalid_argument);
 }
 
-TEST(StackBuilderTest, GateBoundaryThresholdsAreValidOperatingPoints) {
+TEST(MakeStackTest, GateBoundaryThresholdsAreValidOperatingPoints) {
   // 0 (gate opens once seeded) and 1 (strictest satisfiable gate) are both
   // meaningful Eq. 21 settings and must not be rejected.
   util::Rng rng(3);
-  EXPECT_NE(StackBuilder(Method::kDra).probability_threshold(0.0).build(rng),
-            nullptr);
-  EXPECT_NE(StackBuilder(Method::kDra).probability_threshold(1.0).build(rng),
-            nullptr);
+  for (const double threshold : {0.0, 1.0}) {
+    StackConfig config;
+    config.probability_threshold = threshold;
+    EXPECT_NE(make_stack(Method::kDra, config, rng), nullptr) << threshold;
+  }
 }
 
 TEST(RccrStackTest, ConservativeBiasIsPositiveOnAverage) {

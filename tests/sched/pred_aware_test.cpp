@@ -1,16 +1,17 @@
-// PredictionAwareScheduler differential and TrustController unit tests.
+// Method pred-aware (CorpScheduler built with a trust input) differential
+// and TrustController unit tests.
 //
 // The λ endpoints are contracts, not approximations: λ=1 must reproduce
-// CorpScheduler decision-for-decision (same pools, same carve sizing,
-// same tie-breaking) and λ=0 must reproduce CorpScheduler with
-// opportunistic placement disabled. The blend expressions are chosen to
-// be IEEE-exact at the endpoints, so these tests EXPECT_EQ doubles.
+// default CORP decision-for-decision (same pools, same carve sizing,
+// same tie-breaking) and λ=0 must reproduce CORP with opportunistic
+// placement disabled. The blend expressions are chosen to be IEEE-exact
+// at the endpoints, so these tests EXPECT_EQ doubles.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/corp_scheduler.hpp"
-#include "sched/pred_aware_scheduler.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/trust.hpp"
 
@@ -74,6 +75,17 @@ std::vector<const Job*> pointers(const std::vector<Job>& jobs) {
   return batch;
 }
 
+/// Method pred-aware at a fixed trust λ.
+CorpScheduler pred_aware_at(double lambda, CorpSchedulerConfig config = {},
+                            std::uint64_t seed = 42) {
+  return CorpScheduler(config, Method::kPredAware, lambda, false, seed);
+}
+
+/// Method pred-aware with λ driven by the trust signals.
+CorpScheduler adaptive_pred_aware() {
+  return CorpScheduler({}, Method::kPredAware, 1.0, true);
+}
+
 void expect_identical(const std::vector<PlacementDecision>& lhs,
                       const std::vector<PlacementDecision>& rhs) {
   ASSERT_EQ(lhs.size(), rhs.size());
@@ -97,14 +109,14 @@ TEST(PredAwareDifferentialTest, FullTrustMatchesCorpExactly) {
   const auto corp_decisions = corp.place(batch, corp_ctx);
 
   Fixture pa_fixture = mixed_fixture();
-  PredictionAwareConfig config;
-  config.trust = 1.0;
-  PredictionAwareScheduler pred_aware(config);
+  CorpScheduler pred_aware = pred_aware_at(1.0);
   const auto pa_ctx = pa_fixture.context();
   const auto pa_decisions = pred_aware.place(batch, pa_ctx);
 
   ASSERT_FALSE(corp_decisions.empty());
   expect_identical(pa_decisions, corp_decisions);
+  EXPECT_EQ(pred_aware.method(), Method::kPredAware);
+  EXPECT_EQ(corp.method(), Method::kCorp);
   EXPECT_EQ(pred_aware.current_trust(), 1.0);
 }
 
@@ -120,9 +132,7 @@ TEST(PredAwareDifferentialTest, ZeroTrustMatchesDemandBasedCorp) {
   const auto corp_decisions = corp.place(batch, corp_ctx);
 
   Fixture pa_fixture = mixed_fixture();
-  PredictionAwareConfig config;
-  config.trust = 0.0;
-  PredictionAwareScheduler pred_aware(config);
+  CorpScheduler pred_aware = pred_aware_at(0.0);
   const auto pa_ctx = pa_fixture.context();
   const auto pa_decisions = pred_aware.place(batch, pa_ctx);
 
@@ -139,16 +149,12 @@ TEST(PredAwareDifferentialTest, TrustOutsideUnitIntervalIsClamped) {
   const std::vector<const Job*> batch = pointers(jobs);
 
   Fixture reference_fixture = mixed_fixture();
-  PredictionAwareConfig one;
-  one.trust = 1.0;
-  PredictionAwareScheduler at_one(one);
+  CorpScheduler at_one = pred_aware_at(1.0);
   const auto ref_ctx = reference_fixture.context();
   const auto reference = at_one.place(batch, ref_ctx);
 
   Fixture clamped_fixture = mixed_fixture();
-  PredictionAwareConfig above;
-  above.trust = 7.5;
-  PredictionAwareScheduler clamped(above);
+  CorpScheduler clamped = pred_aware_at(7.5);
   const auto clamped_ctx = clamped_fixture.context();
   expect_identical(clamped.place(batch, clamped_ctx), reference);
   EXPECT_EQ(clamped.current_trust(), 1.0);
@@ -159,14 +165,12 @@ TEST(PredAwareDifferentialTest, InteriorTrustBlendsCarveSizing) {
   const std::vector<const Job*> batch = pointers(jobs);
 
   Fixture f = mixed_fixture();
-  PredictionAwareConfig config;
-  config.trust = 0.5;
-  PredictionAwareScheduler pred_aware(config);
+  CorpScheduler pred_aware = pred_aware_at(0.5);
   const auto ctx = f.context();
   const auto decisions = pred_aware.place(batch, ctx);
 
-  const double expected_fraction =
-      0.5 * config.corp.opportunistic_sizing + 0.5;
+  const CorpSchedulerConfig& config = pred_aware.config();
+  const double expected_fraction = 0.5 * config.opportunistic_sizing + 0.5;
   bool saw_opportunistic = false;
   for (const PlacementDecision& d : decisions) {
     if (d.kind != AllocationKind::kOpportunistic) continue;
@@ -175,7 +179,7 @@ TEST(PredAwareDifferentialTest, InteriorTrustBlendsCarveSizing) {
     // Interior carve is wider than the fully-trusting one: as trust
     // falls the scheduler admits fewer entities but sizes each closer to
     // its worst-case demand.
-    EXPECT_GT(d.request_fraction, config.corp.opportunistic_sizing);
+    EXPECT_GT(d.request_fraction, config.opportunistic_sizing);
     EXPECT_LT(d.request_fraction, 1.0);
   }
   EXPECT_TRUE(saw_opportunistic);
@@ -188,9 +192,7 @@ TEST(PredAwareDifferentialTest, OpportunisticAdmissionShrinksWithTrust) {
   bool first = true;
   for (const double lambda : {1.0, 0.6, 0.2, 0.0}) {
     Fixture f = mixed_fixture();
-    PredictionAwareConfig config;
-    config.trust = lambda;
-    PredictionAwareScheduler pred_aware(config);
+    CorpScheduler pred_aware = pred_aware_at(lambda);
     const auto ctx = f.context();
     std::size_t opportunistic = 0;
     for (const PlacementDecision& d : pred_aware.place(batch, ctx)) {
@@ -209,10 +211,9 @@ TEST(PredAwareDifferentialTest, DisabledOpportunisticOverridesTrust) {
   const std::vector<Job> jobs = make_batch_jobs();
   const std::vector<const Job*> batch = pointers(jobs);
   Fixture f = mixed_fixture();
-  PredictionAwareConfig config;
-  config.trust = 1.0;
-  config.corp.enable_opportunistic = false;
-  PredictionAwareScheduler pred_aware(config);
+  CorpSchedulerConfig config;
+  config.enable_opportunistic = false;
+  CorpScheduler pred_aware = pred_aware_at(1.0, config);
   const auto ctx = f.context();
   for (const PlacementDecision& d : pred_aware.place(batch, ctx)) {
     EXPECT_EQ(d.kind, AllocationKind::kReserved);
@@ -236,11 +237,8 @@ TEST(PredAwareTieBreakTest, InteriorTrustTiesResolveWithinTiedSet) {
   const Job job = make_job(1, 1.0, 4.0, 10.0);
   const std::vector<const Job*> batch{&job};
 
-  PredictionAwareConfig config;
-  config.trust = 0.5;
-  config.seed = 7;
-  PredictionAwareScheduler first(config);
-  PredictionAwareScheduler second(config);
+  CorpScheduler first = pred_aware_at(0.5, {}, 7);
+  CorpScheduler second = pred_aware_at(0.5, {}, 7);
   const auto ctx = f.context();
   const auto a = first.place(batch, ctx);
   const auto b = second.place(batch, ctx);
@@ -253,7 +251,7 @@ TEST(PredAwareTieBreakTest, InteriorTrustTiesResolveWithinTiedSet) {
 }
 
 TEST(PredAwareTieBreakTest, EndpointsNeverDraw) {
-  // At λ=1 the tied set must resolve exactly like CorpScheduler (first
+  // At λ=1 the tied set must resolve exactly like default CORP (first
   // candidate), whatever the tie-break seed says.
   Fixture f;
   for (std::uint32_t id = 0; id < 3; ++id) {
@@ -267,10 +265,7 @@ TEST(PredAwareTieBreakTest, EndpointsNeverDraw) {
   const Job job = make_job(1, 1.0, 4.0, 10.0);
   const std::vector<const Job*> batch{&job};
   for (const std::uint64_t seed : {7ULL, 1234567ULL}) {
-    PredictionAwareConfig config;
-    config.trust = 1.0;
-    config.seed = seed;
-    PredictionAwareScheduler pred_aware(config);
+    CorpScheduler pred_aware = pred_aware_at(1.0, {}, seed);
     CorpScheduler corp;
     const auto ctx = f.context();
     const auto pa = pred_aware.place(batch, ctx);
@@ -284,11 +279,9 @@ TEST(PredAwareTieBreakTest, EndpointsNeverDraw) {
 TEST(PredAwareAdaptiveTest, AdaptiveModeFollowsSignals) {
   const std::vector<Job> jobs = make_batch_jobs();
   const std::vector<const Job*> batch = pointers(jobs);
-  PredictionAwareConfig config;
-  config.adaptive = true;
-  PredictionAwareScheduler pred_aware(config);
+  CorpScheduler pred_aware = adaptive_pred_aware();
 
-  // Healthy signals: full trust, matches CorpScheduler.
+  // Healthy signals: full trust, matches default CORP.
   Fixture healthy = mixed_fixture();
   TrustSignals good;
   auto ctx = healthy.context();
@@ -316,9 +309,7 @@ TEST(PredAwareAdaptiveTest, AdaptiveModeFollowsSignals) {
 TEST(PredAwareAdaptiveTest, MissingSignalsDefaultToFullTrust) {
   const std::vector<Job> jobs = make_batch_jobs();
   const std::vector<const Job*> batch = pointers(jobs);
-  PredictionAwareConfig config;
-  config.adaptive = true;
-  PredictionAwareScheduler pred_aware(config);
+  CorpScheduler pred_aware = adaptive_pred_aware();
   Fixture f = mixed_fixture();
   const auto ctx = f.context();  // ctx.trust left null
   pred_aware.place(batch, ctx);
@@ -332,9 +323,7 @@ TEST(TrustControllerTest, HealthySignalsGiveFullTrust) {
 }
 
 TEST(TrustControllerTest, ReservedOnlyGivesZeroRegardlessOfFloor) {
-  TrustAdaptationConfig config;
-  config.floor = 0.3;
-  TrustController controller(config);
+  TrustController controller;
   TrustSignals signals;
   signals.tier = predict::DegradationTier::kReservedOnly;
   signals.window_fault_fraction = 0.0;
@@ -347,7 +336,7 @@ TEST(TrustControllerTest, FallbackTierCapsTrust) {
   TrustSignals signals;
   signals.tier = predict::DegradationTier::kFallback;
   const double lambda = controller.update(signals);
-  EXPECT_EQ(lambda, TrustAdaptationConfig{}.fallback_cap);
+  EXPECT_EQ(lambda, 0.45);
 }
 
 TEST(TrustControllerTest, FaultFractionPenaltyIsContinuous) {
@@ -360,7 +349,7 @@ TEST(TrustControllerTest, FaultFractionPenaltyIsContinuous) {
     EXPECT_LE(lambda, previous) << "fraction " << fraction;
     previous = lambda;
   }
-  // Default exponent 2: a 10% faulty window costs 19% trust, not a cliff.
+  // Exponent 2: a 10% faulty window costs 19% trust, not a cliff.
   TrustSignals ten_percent;
   ten_percent.window_fault_fraction = 0.10;
   EXPECT_NEAR(controller.update(ten_percent), 0.81, 1e-12);
@@ -382,16 +371,6 @@ TEST(TrustControllerTest, GateMarginScalesTrust) {
   signals.probability_threshold = 0.0;
   signals.min_gate_probability = 0.0;
   EXPECT_EQ(controller.update(signals), 1.0);
-}
-
-TEST(TrustControllerTest, FloorBoundsDegradedTrust) {
-  TrustAdaptationConfig config;
-  config.floor = 0.25;
-  TrustController controller(config);
-  TrustSignals signals;
-  signals.window_fault_fraction = 0.9;
-  signals.min_gate_probability = 0.01;
-  EXPECT_EQ(controller.update(signals), 0.25);
 }
 
 }  // namespace

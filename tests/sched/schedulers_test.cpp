@@ -260,22 +260,12 @@ TEST(DraSchedulerTest, ReprovisionReturnsEntitlement) {
   EXPECT_LT(target.cpu(), job.request.cpu());
 }
 
-TEST(FactoryTest, BuildsEveryMethod) {
-  util::Rng rng(1);
-  for (Method m : predict::kAllMethods) {
-    auto scheduler = make_scheduler(m, rng);
-    ASSERT_NE(scheduler, nullptr);
-    EXPECT_EQ(scheduler->method(), m);
-  }
-}
-
 TEST(SchedulerBaseTest, DefaultReprovisionIsIdentity) {
-  util::Rng rng(1);
-  auto corp_scheduler = make_scheduler(Method::kCorp, rng);
+  CorpScheduler corp_scheduler;
   const Job job = make_job(1, 2.0, 2.0, 2.0);
   DemandHistory history;
   const ResourceVector current(1.5, 1.5, 1.5);
-  EXPECT_EQ(corp_scheduler->reprovision(job, history, current), current);
+  EXPECT_EQ(corp_scheduler.reprovision(job, history, current), current);
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ struct RunSpec {
   Method method = Method::kCorp;
   fault::FaultConfig faults;
   std::optional<predict::StackConfig> stack;
-  std::optional<sched::PredictionAwareConfig> pred_aware;
+  bool trust_adaptive = false;
   std::int64_t grace_slots = 720;
   bool record_timeline = false;
 };
@@ -90,7 +90,7 @@ SimulationResult run_spec(const RunSpec& spec, const trace::Trace& training,
   config.seed = 5;
   config.faults = spec.faults;
   config.stack = spec.stack;
-  config.pred_aware = spec.pred_aware;
+  config.params.trust_adaptive = spec.trust_adaptive;
   config.grace_slots = spec.grace_slots;
   config.record_timeline = spec.record_timeline;
   Simulation sim(std::move(config));
@@ -430,11 +430,7 @@ SimulationResult crash_run(Method method) {
   RunSpec spec;
   spec.method = method;
   spec.faults = crash_faults();
-  if (method == Method::kPredAware) {
-    sched::PredictionAwareConfig adaptive;
-    adaptive.adaptive = true;
-    spec.pred_aware = adaptive;
-  }
+  spec.trust_adaptive = method == Method::kPredAware;
   const SimulationResult r = run_spec(spec, testfix::tiny_trace(60, 11),
                                       testfix::tiny_trace(40, 12));
   EXPECT_GT(r.vm_crashes, 0u);

@@ -2,26 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/environment.hpp"
+#include "predict/dnn_predictor.hpp"
+#include "predict/hmm_corrector.hpp"
+
 namespace corp::sim {
 namespace {
 
-// Table II of the paper, asserted literally so drift is caught.
+// Table II of the paper, asserted literally where the code reads each
+// value, so drift is caught.
 TEST(ParamsTest, TableIIDefaults) {
   const Params p;
-  EXPECT_EQ(p.num_servers_cluster, 50u);           // N_p (cluster)
-  EXPECT_EQ(p.num_servers_ec2, 30u);               // N_p (EC2)
+  EXPECT_EQ(cluster::EnvironmentConfig::PalmettoCluster().num_pms,
+            50u);                                  // N_p (cluster)
+  EXPECT_EQ(cluster::EnvironmentConfig::AmazonEc2().num_pms,
+            30u);                                  // N_p (EC2)
   EXPECT_EQ(p.jobs_min, 50u);                      // |J| from 50
   EXPECT_EQ(p.jobs_max, 300u);                     // ... to 300
   EXPECT_EQ(p.jobs_step, 50u);                     // step 50
   EXPECT_EQ(Params::kResourceTypes, 3u);           // l = 3
   EXPECT_DOUBLE_EQ(p.probability_threshold, 0.95); // P_th
-  EXPECT_EQ(p.dnn_layers, 4u);                     // h = 4
-  EXPECT_EQ(p.dnn_units, 50u);                     // N_n = 50
-  EXPECT_EQ(p.hmm_states, 3u);                     // H = 3
-  EXPECT_DOUBLE_EQ(p.significance_min, 0.05);      // theta 5%-30%
-  EXPECT_DOUBLE_EQ(p.significance_max, 0.30);
-  EXPECT_DOUBLE_EQ(p.confidence_min, 0.50);        // eta 50%-90%
-  EXPECT_DOUBLE_EQ(p.confidence_max, 0.90);
+  const predict::DnnPredictorConfig dnn;
+  EXPECT_EQ(dnn.hidden_layers, 4u);                // h = 4
+  EXPECT_EQ(dnn.hidden_units, 50u);                // N_n = 50
+  EXPECT_EQ(dnn.history_slots, 12u);               // Delta = 12
+  EXPECT_EQ(predict::HmmCorrectorConfig{}.num_states, 3u);  // H = 3
+  EXPECT_DOUBLE_EQ(p.confidence_max, 0.90);        // eta up to 90%
 }
 
 TEST(ParamsTest, DerivedTimeBase) {

@@ -26,7 +26,9 @@ using testfix::tiny_trace;
 
 struct RunSpec {
   Method method = Method::kCorp;
-  std::optional<sched::PredictionAwareConfig> pred_aware;
+  /// Params::trust / Params::trust_adaptive of the run.
+  double trust = 1.0;
+  bool trust_adaptive = false;
   std::optional<sched::CorpSchedulerConfig> corp_scheduler;
   std::optional<predict::StackConfig> stack;
   fault::FaultConfig faults;
@@ -52,7 +54,8 @@ SimulationResult run_spec(const RunSpec& spec, const trace::Trace& training,
   config.method = spec.method;
   config.seed = 5;
   config.faults = spec.faults;
-  config.pred_aware = spec.pred_aware;
+  config.params.trust = spec.trust;
+  config.params.trust_adaptive = spec.trust_adaptive;
   config.corp_scheduler = spec.corp_scheduler;
   config.stack = spec.stack;
   config.params.shards = spec.shards;
@@ -60,12 +63,6 @@ SimulationResult run_spec(const RunSpec& spec, const trace::Trace& training,
   Simulation sim(std::move(config));
   sim.train(training);
   return sim.run(eval);
-}
-
-sched::PredictionAwareConfig fixed_trust(double lambda) {
-  sched::PredictionAwareConfig config;
-  config.trust = lambda;
-  return config;
 }
 
 TEST(PredAwareSimTest, FullTrustIsBitIdenticalToCorp) {
@@ -84,7 +81,7 @@ TEST(PredAwareSimTest, FullTrustIsBitIdenticalToCorp) {
 
   RunSpec pred_aware;
   pred_aware.method = Method::kPredAware;
-  pred_aware.pred_aware = fixed_trust(1.0);
+  pred_aware.trust = 1.0;
   pred_aware.stack = permissive_stack();
   const SimulationResult pa_result = run_spec(pred_aware, training, eval);
 
@@ -107,7 +104,7 @@ TEST(PredAwareSimTest, ZeroTrustIsBitIdenticalToDemandBasedCorp) {
 
   RunSpec pred_aware;
   pred_aware.method = Method::kPredAware;
-  pred_aware.pred_aware = fixed_trust(0.0);
+  pred_aware.trust = 0.0;
   const SimulationResult pa_result = run_spec(pred_aware, training, eval);
 
   EXPECT_EQ(corp_result.opportunistic_placements, 0u);
@@ -131,7 +128,7 @@ TEST(PredAwareSimTest, EndpointsHoldUnderFaults) {
 
   RunSpec pred_aware;
   pred_aware.method = Method::kPredAware;
-  pred_aware.pred_aware = fixed_trust(1.0);
+  pred_aware.trust = 1.0;
   pred_aware.faults = heavy_faults();
   const SimulationResult pa_result = run_spec(pred_aware, training, eval);
   expect_identical(corp_result, pa_result);
@@ -144,7 +141,7 @@ TEST(PredAwareSimTest, InteriorTrustIsBitIdenticalAcrossShardsAndThreads) {
 
   RunSpec serial;
   serial.method = Method::kPredAware;
-  serial.pred_aware = fixed_trust(0.5);
+  serial.trust = 0.5;
   serial.faults = heavy_faults();
   const SimulationResult reference = run_spec(serial, training, eval);
 
@@ -173,9 +170,7 @@ TEST(PredAwareSimTest, AdaptiveTrustIsBitIdenticalAcrossShardsAndThreads) {
 
   RunSpec serial;
   serial.method = Method::kPredAware;
-  sched::PredictionAwareConfig adaptive;
-  adaptive.adaptive = true;
-  serial.pred_aware = adaptive;
+  serial.trust_adaptive = true;
   serial.faults = heavy_faults();
   const SimulationResult reference = run_spec(serial, training, eval);
   // Heavy faults must actually move the trust knob off its ceiling.
@@ -213,14 +208,12 @@ TEST(PredAwareSimTest, AdaptiveBeatsFullTrustOnSloUnderPoisonedForecasts) {
 
   RunSpec trusting;
   trusting.method = Method::kPredAware;
-  trusting.pred_aware = fixed_trust(1.0);
+  trusting.trust = 1.0;
   trusting.faults = poison;
   const SimulationResult full = run_spec(trusting, training, eval);
 
   RunSpec adapting = trusting;
-  sched::PredictionAwareConfig adaptive;
-  adaptive.adaptive = true;
-  adapting.pred_aware = adaptive;
+  adapting.trust_adaptive = true;
   const SimulationResult adapted = run_spec(adapting, training, eval);
 
   EXPECT_LT(adapted.trust_lambda, 1.0);

@@ -62,6 +62,27 @@ TEST(SimulationTest, RunBeforeTrainThrows) {
   EXPECT_THROW(sim.run(tiny_trace(10, 4)), std::logic_error);
 }
 
+// The constructor is the one scheduler factory every run uses: each
+// method builds, and its scheduler reports the method it was built for.
+TEST(SimulationTest, BuildsSchedulerForEveryMethod) {
+  for (const Method m : {Method::kCorp, Method::kRccr, Method::kCloudScale,
+                         Method::kDra, Method::kPredAware}) {
+    Simulation sim(tiny_config(m));
+    EXPECT_EQ(sim.scheduler().method(), m) << predict::method_name(m);
+  }
+}
+
+// Params is the one trust channel: a hand-built pred-aware config that
+// sets only params.trust runs at that λ.
+TEST(SimulationTest, PredAwareTakesTrustFromParams) {
+  SimulationConfig config = tiny_config(Method::kPredAware);
+  config.params.trust = 0.5;
+  Simulation sim(std::move(config));
+  sim.train(tiny_trace(60, 11));
+  const SimulationResult result = sim.run(tiny_trace(40, 15));
+  EXPECT_EQ(result.trust_lambda, 0.5);
+}
+
 class SimulationMethodTest : public ::testing::TestWithParam<Method> {};
 
 TEST_P(SimulationMethodTest, CompletesEveryJob) {

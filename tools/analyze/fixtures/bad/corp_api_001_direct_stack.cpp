@@ -1,6 +1,6 @@
 // Fixture: must trip exactly CORP-API-001.
-// Hand-rolled stack construction bypasses StackBuilder's option
-// validation and the Table II defaults baked into build().
+// Hand-rolled stack construction bypasses make_stack's option
+// validation and the Table II defaults it bakes in.
 #include <memory>
 
 namespace corp::predict {
@@ -13,7 +13,7 @@ std::unique_ptr<CorpStack> assemble_by_hand() {
 }
 
 int temporary_stack() {
-  DraStack local{};  // violation: local stack built outside the builder
+  DraStack local{};  // violation: local stack built outside make_stack
   (void)local;
   return 0;
 }

@@ -15,7 +15,7 @@ index, with the tag the rule table assigns.
   CORP-SEED-001 util::derive_seed called with a bare integer literal as
                 the stream tag instead of a named stream constant
   CORP-API-001  direct construction of a prediction stack outside
-                predict/stacks + StackBuilder (bypasses option
+                predict/stacks (bypasses make_stack's option
                 validation and the Table II defaults)
   CORP-IO-001   getline loop accumulating rows into a container in
                 trace-ingest code (unbounded whole-file read; production
@@ -292,10 +292,9 @@ def check_seed_stream_tag(src: SourceFile) -> Iterator[Finding]:
 
 _STACK_TYPES = ("CorpStack", "RccrStack", "CloudScaleStack", "DraStack")
 
-#: The construction home: the stacks module itself plus the one factory
-#: allowed to assemble options (StackBuilder).
-_STACK_HOME = ("predict/stacks.hpp", "predict/stacks.cpp",
-               "predict/stack_builder.hpp", "predict/stack_builder.cpp")
+#: The construction home: the stacks module, whose make_stack is the one
+#: factory allowed to assemble options.
+_STACK_HOME = ("predict/stacks.hpp", "predict/stacks.cpp")
 
 
 def check_direct_stack_construction(src: SourceFile) -> Iterator[Finding]:
@@ -325,9 +324,8 @@ def check_direct_stack_construction(src: SourceFile) -> Iterator[Finding]:
         yield Finding(
             src.path, tok.line, "CORP-API-001",
             f"direct {tok.text} construction — build stacks through "
-            "predict::StackBuilder (or make_stack) so options are "
-            "validated and Table II defaults apply (justify with "
-            "`// lint: stack-direct`)")
+            "predict::make_stack so options are validated and Table II "
+            "defaults apply (justify with `// lint: stack-direct`)")
 
 
 #: Directories whose readers face production-size (multi-GB) inputs.

@@ -23,7 +23,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "predict/backtest.hpp"
-#include "predict/stack_builder.hpp"
+#include "predict/stacks.hpp"
 #include "sim/job_source.hpp"
 #include "sim/replication.hpp"
 #include "sim/slot_clock.hpp"
@@ -90,15 +90,14 @@ scaling (docs/scaling.md): run/compare/replicate/backtest accept
                        change (a coarser forecast-refresh schedule),
                        itself bit-identical across shards/threads/clock
 
-prediction-aware allocation (docs/resilience.md): run/replicate/backtest
-  --sched NAME         alias of --method (pred-aware is a scheduler
-                       policy over CORP's forecasts, not a new forecaster)
-  --trust L|auto       trust λ of the pred-aware scheduler, in [0, 1]:
-                       1 follows the forecast like CORP, 0 is demand-based
-                       worst-case admission, intermediate values blend the
-                       admission thresholds; 'auto' drives λ online from
-                       predictor health (degradation tier, window fault
-                       fraction, Eq. 21 gate margin)
+prediction-aware allocation (docs/resilience.md): run/replicate with
+--method pred-aware accept
+  --trust L|auto       trust λ in [0, 1] (default 1): 1 follows the
+                       forecast like CORP, 0 is demand-based worst-case
+                       admission, intermediate values blend the admission
+                       thresholds; 'auto' drives λ online from predictor
+                       health (degradation tier, window fault fraction,
+                       Eq. 21 gate margin); other methods reject --trust
 
 fault injection (docs/resilience.md): run/compare/replicate accept
   --fault-intensity A  canonical fault mix at intensity A in [0, 1]
@@ -128,8 +127,7 @@ observability (docs/observability.md): any subcommand accepts
 const std::vector<std::string> kCommonFlags{
     "env",          "jobs",        "seed",
     "threads",      "shards",      "workload",
-    "aggressiveness", "trust",     "slot-clock",
-    "predict-cadence",
+    "aggressiveness", "slot-clock", "predict-cadence",
     "metrics-out",  "metrics-csv", "no-metrics",
     "fault-intensity", "vm-mttf",  "vm-mttr",
     "gap-rate",     "gap-mean",    "straggler-rate",
@@ -145,14 +143,14 @@ std::optional<std::vector<std::string>> known_flags(
     return flags;
   };
   if (command == "run") {
-    return add({"method", "sched", "timeline", "trace-file", "trace-schema",
+    return add({"method", "trust", "timeline", "trace-file", "trace-schema",
                 "long-tasks", "chunk-kb"});
   }
   if (command == "compare") return add({});
-  if (command == "replicate") return add({"method", "sched", "reps"});
+  if (command == "replicate") return add({"method", "trust", "reps"});
   if (command == "trace-gen") return add({"out"});
   if (command == "stats") return add({});
-  if (command == "backtest") return add({"method", "sched"});
+  if (command == "backtest") return add({"method"});
   return std::nullopt;
 }
 
@@ -215,28 +213,24 @@ cluster::EnvironmentConfig env_from(const util::ArgParser& args) {
                               " (cluster|ec2|slurm-het)");
 }
 
-predict::Method method_from(const std::string& name,
-                            const std::string& flag = "--method") {
+predict::Method method_from(const std::string& name) {
   if (name == "corp") return predict::Method::kCorp;
   if (name == "rccr") return predict::Method::kRccr;
   if (name == "cloudscale") return predict::Method::kCloudScale;
   if (name == "dra") return predict::Method::kDra;
   if (name == "pred-aware") return predict::Method::kPredAware;
-  throw std::invalid_argument("unknown " + flag + " " + name);
+  throw std::invalid_argument("unknown --method " + name);
 }
 
-/// Resolves --method with its scheduler-centric alias --sched (the
-/// prediction-aware strategy is a scheduler policy, so `--sched
-/// pred-aware` reads naturally); passing both is ambiguous.
+/// Resolves --method. --trust parameterizes pred-aware alone: every other
+/// method would silently ignore it, so a stray --trust is rejected.
 predict::Method method_arg(const util::ArgParser& args) {
-  if (args.has("sched") && args.has("method")) {
+  const predict::Method method = method_from(args.get("method", "corp"));
+  if (args.has("trust") && method != predict::Method::kPredAware) {
     throw std::invalid_argument(
-        "--sched is an alias of --method; pass only one");
+        "--trust applies only to --method pred-aware");
   }
-  if (args.has("sched")) {
-    return method_from(args.get("sched", "corp"), "--sched");
-  }
-  return method_from(args.get("method", "corp"));
+  return method;
 }
 
 /// Parses --trust into the params' (trust, trust_adaptive) pair. Rejects
@@ -558,7 +552,7 @@ int cmd_backtest(const util::ArgParser& args) {
                                    setup.aggressiveness)
            .stack;
   util::Rng rng(sim::simulation_seed(experiment.seed, method));
-  auto stack = predict::StackBuilder(method).config(stack_config).build(rng);
+  auto stack = predict::make_stack(method, stack_config, rng);
   std::cout << "backtesting " << predict::method_name(method)
             << " on unused-CPU (request-normalized)...\n";
   stack->train(train_corpus.per_type[0]);
