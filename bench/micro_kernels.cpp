@@ -94,8 +94,7 @@ int main(int argc, char** argv) {
     predict::BatchRequest request;
     for (std::size_t i = 0; i < batch; ++i) {
       request.queries.push_back(predict::PredictionQuery{
-          .entity = i, .horizon = dnn_config.horizon_slots,
-          .history = histories[i]});
+          .horizon = dnn_config.horizon_slots, .history = histories[i]});
     }
     // Contract check before timing: the GEMM path must be bit-identical.
     const predict::BatchResult check = dnn.predict_batch(request);
@@ -194,8 +193,8 @@ int main(int argc, char** argv) {
     ets.train(corpus);
     predict::MarkovChainPredictor markov;
     markov.train(corpus);
-    const predict::PredictionQuery query{
-        .entity = 0, .horizon = 6, .history = corpus.front()};
+    const predict::PredictionQuery query{.horizon = 6,
+                                         .history = corpus.front()};
     constexpr std::size_t kReps = 2048;
     double ets_ms = 0.0;
     {

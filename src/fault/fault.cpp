@@ -175,14 +175,12 @@ PredictorFaultKind FaultInjector::predictor_fault(std::uint64_t job_id,
                       : PredictorFaultKind::kExplode;
 }
 
-std::int64_t FaultInjector::retry_backoff(std::size_t attempt) const {
-  const std::int64_t base = std::max<std::int64_t>(1, config_.retry_backoff_base_slots);
-  std::int64_t delay = base;
-  for (std::size_t i = 1; i < attempt && delay < config_.retry_backoff_cap_slots;
-       ++i) {
+std::int64_t FaultInjector::retry_backoff(std::size_t attempt) {
+  std::int64_t delay = kRetryBackoffBaseSlots;
+  for (std::size_t i = 1; i < attempt && delay < kRetryBackoffCapSlots; ++i) {
     delay *= 2;
   }
-  return std::min(delay, std::max<std::int64_t>(base, config_.retry_backoff_cap_slots));
+  return std::min(delay, kRetryBackoffCapSlots);
 }
 
 }  // namespace corp::fault

@@ -58,10 +58,6 @@ struct FaultConfig {
   /// Crash-kill retries allowed per job before it is dropped as a
   /// permanent SLO failure.
   std::size_t retry_budget = 4;
-  /// First retry delay; doubles per attempt (capped). Retries still count
-  /// against the job's response-time SLO threshold.
-  std::int64_t retry_backoff_base_slots = 2;
-  std::int64_t retry_backoff_cap_slots = 48;
 
   /// True when any fault class is active.
   bool any() const {
@@ -112,6 +108,11 @@ class FaultPlan {
 /// FaultPlan plus the stateless per-entity hash streams.
 class FaultInjector {
  public:
+  /// First retry delay; doubles per attempt up to the cap. Retries still
+  /// count against the job's response-time SLO threshold.
+  static constexpr std::int64_t kRetryBackoffBaseSlots = 2;
+  static constexpr std::int64_t kRetryBackoffCapSlots = 48;
+
   /// An inert injector (enabled() == false).
   FaultInjector() = default;
   FaultInjector(const FaultConfig& config, std::uint64_t seed,
@@ -148,7 +149,7 @@ class FaultInjector {
 
   /// Capped exponential retry backoff for the given crash-kill attempt
   /// (attempt >= 1): base * 2^(attempt-1), capped.
-  std::int64_t retry_backoff(std::size_t attempt) const;
+  static std::int64_t retry_backoff(std::size_t attempt);
 
  private:
   FaultConfig config_;

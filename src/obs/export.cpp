@@ -130,44 +130,4 @@ void append_jsonl(const std::string& path, const MetricsSnapshot& snapshot,
   out << snapshot_json(snapshot, run_id) << '\n';
 }
 
-void write_csv(std::ostream& out, const MetricsSnapshot& snapshot,
-               const std::string& run_id) {
-  out << "run_id,kind,name,field,value\n";
-  auto row = [&](const char* kind, const std::string& name,
-                 const char* field, const std::string& value) {
-    out << run_id << ',' << kind << ',' << name << ',' << field << ','
-        << value << '\n';
-  };
-  for (const auto& [name, value] : snapshot.counters) {
-    row("counter", name, "value", std::to_string(value));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    row("gauge", name, "value", number(value));
-  }
-  for (const auto& [name, phase] : snapshot.phases) {
-    row("phase", name, "calls", std::to_string(phase.calls));
-    row("phase", name, "total_ms", number(phase.total_ms));
-    row("phase", name, "mean_ms", number(phase.mean_ms));
-    row("phase", name, "max_ms", number(phase.max_ms));
-  }
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    row("histogram", name, "count", std::to_string(histogram.count));
-    row("histogram", name, "sum", number(histogram.sum));
-    row("histogram", name, "min", number(histogram.min));
-    row("histogram", name, "max", number(histogram.max));
-    row("histogram", name, "p50", number(histogram.p50));
-    row("histogram", name, "p90", number(histogram.p90));
-    row("histogram", name, "p99", number(histogram.p99));
-  }
-}
-
-void write_csv_file(const std::string& path, const MetricsSnapshot& snapshot,
-                    const std::string& run_id) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("obs::write_csv_file: cannot open " + path);
-  }
-  write_csv(out, snapshot, run_id);
-}
-
 }  // namespace corp::obs

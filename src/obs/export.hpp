@@ -15,7 +15,6 @@
 // overflow bucket at the end.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -36,15 +35,6 @@ std::string snapshot_json(const MetricsSnapshot& snapshot,
 /// when the file cannot be opened.
 void append_jsonl(const std::string& path, const MetricsSnapshot& snapshot,
                   const std::string& run_id);
-
-/// Flat CSV: run_id,kind,name,field,value — one row per scalar field, so
-/// spreadsheets and pandas ingest it without a JSON step.
-void write_csv(std::ostream& out, const MetricsSnapshot& snapshot,
-               const std::string& run_id);
-
-/// write_csv() to a file; throws std::runtime_error on open failure.
-void write_csv_file(const std::string& path, const MetricsSnapshot& snapshot,
-                    const std::string& run_id);
 
 /// JSON string escaping for metric names / run ids.
 std::string json_escape(const std::string& text);

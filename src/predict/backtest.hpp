@@ -14,20 +14,6 @@
 
 namespace corp::predict {
 
-struct BacktestConfig {
-  /// Slots of history exposed at the first origin.
-  std::size_t warmup_slots = 12;
-  /// Origin stride (1 = every slot; horizon = one score per window).
-  std::size_t stride = 6;
-  /// Forecast horizon in slots; the target is the window mean.
-  std::size_t horizon = 6;
-  /// Band width eps for the Eq. 21 rate, in series units.
-  double epsilon = 0.3;
-  /// Feed each outcome back into the stack (online operation) or keep
-  /// the stack frozen (pure evaluation).
-  bool feed_outcomes = true;
-};
-
 struct BacktestReport {
   std::size_t forecasts = 0;
   double rmse = 0.0;
@@ -36,13 +22,14 @@ struct BacktestReport {
   double bias = 0.0;
   /// P(delta >= 0): how often the forecast was a safe lower bound.
   double coverage = 0.0;
-  /// P(0 <= delta < eps): the Eq. 21 band rate.
+  /// P(0 <= delta < eps): the Eq. 21 band rate, eps = 0.3 series units.
   double band_rate = 0.0;
 };
 
-/// Walk-forward evaluation of `stack` over every series in `corpus`.
-/// The stack must already be trained.
-BacktestReport backtest(PredictionStack& stack, const SeriesCorpus& corpus,
-                        const BacktestConfig& config = {});
+/// Walk-forward evaluation of `stack` over every series in `corpus`:
+/// origins every 6 slots after a 12-slot warm-up, each scored against the
+/// mean of the next 6 slots, with every outcome fed back into the stack
+/// (online operation). The stack must already be trained.
+BacktestReport backtest(PredictionStack& stack, const SeriesCorpus& corpus);
 
 }  // namespace corp::predict

@@ -8,6 +8,13 @@
 
 namespace corp::predict {
 
+namespace {
+
+/// SGD learning rate, the mu of Eq. 8.
+constexpr double kLearningRate = 0.05;
+
+}  // namespace
+
 DnnPredictor::DnnPredictor(const DnnPredictorConfig& config, util::Rng& rng)
     : config_(config), rng_(rng.fork()) {
   if (config.history_slots == 0 || config.horizon_slots == 0) {
@@ -55,7 +62,7 @@ void DnnPredictor::train(const SeriesCorpus& corpus) {
   net_config.hidden_units = config_.hidden_units;
   network_ = std::make_unique<dnn::Network>(net_config, rng_);
 
-  dnn::SgdOptimizer optimizer(config_.learning_rate);
+  dnn::SgdOptimizer optimizer(kLearningRate);
   dnn::Trainer trainer(config_.trainer, rng_);
   report_ = trainer.fit(*network_, optimizer, data);
   trained_ = true;

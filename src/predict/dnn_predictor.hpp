@@ -25,7 +25,6 @@ struct DnnPredictorConfig {
   std::size_t horizon_slots = 6;
   std::size_t hidden_layers = 4;   // Table II
   std::size_t hidden_units = 50;   // Table II
-  double learning_rate = 0.05;     // mu of Eq. 8
   dnn::TrainerConfig trainer;
 };
 

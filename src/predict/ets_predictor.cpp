@@ -5,7 +5,14 @@
 
 namespace corp::predict {
 
-EtsPredictor::EtsPredictor(EtsPredictorConfig config) : config_(config) {}
+namespace {
+
+/// Grid resolution for the (alpha, beta) search in (0, 1).
+constexpr std::size_t kGridSteps = 9;
+/// Damping applied to the trend per extrapolated step.
+constexpr double kTrendDamping = 0.95;
+
+}  // namespace
 
 double EtsPredictor::sse_one_step(std::span<const double> series, double alpha,
                                   double beta) {
@@ -26,10 +33,14 @@ double EtsPredictor::sse_one_step(std::span<const double> series, double alpha,
 
 void EtsPredictor::train(const SeriesCorpus& corpus) {
   double best_sse = std::numeric_limits<double>::infinity();
-  const std::size_t n = config_.grid_steps;
+  const std::size_t n = kGridSteps;
   for (std::size_t ai = 1; ai <= n; ++ai) {
     const double alpha = static_cast<double>(ai) / static_cast<double>(n + 1);
-    for (std::size_t bi = config_.allow_no_trend ? 0 : 1; bi <= n; ++bi) {
+    // beta > 0 always: the trend component is what RCCR's forecaster
+    // carries, and on pattern-free bursty series it is also what
+    // extrapolates burst edges into the future wrongly — the failure mode
+    // Sec. IV attributes to time-series forecasting.
+    for (std::size_t bi = 1; bi <= n; ++bi) {
       const double beta = static_cast<double>(bi) / static_cast<double>(n + 1);
       double sse = 0.0;
       for (const auto& series : corpus) {
@@ -58,10 +69,10 @@ double EtsPredictor::predict(const PredictionQuery& query) {
   }
   // Damped-trend extrapolation h steps ahead.
   double forecast = level;
-  double damp = config_.trend_damping;
+  double damp = kTrendDamping;
   for (std::size_t h = 0; h < horizon; ++h) {
     forecast += trend * damp;
-    damp *= config_.trend_damping;
+    damp *= kTrendDamping;
   }
   return forecast;
 }

@@ -11,19 +11,8 @@
 
 namespace corp::predict {
 
-struct EtsPredictorConfig {
-  /// Grid resolution for the (alpha, beta) search in (0, 1).
-  std::size_t grid_steps = 9;
-  /// Damping applied to the trend per extrapolated step.
-  double trend_damping = 0.85;
-  /// Allow beta = 0 (simple exponential smoothing) in the grid.
-  bool allow_no_trend = true;
-};
-
 class EtsPredictor final : public SeriesPredictor {
  public:
-  explicit EtsPredictor(EtsPredictorConfig config = {});
-
   void train(const SeriesCorpus& corpus) override;
   double predict(const PredictionQuery& query) override;
   std::string_view name() const override { return "ets"; }
@@ -36,7 +25,6 @@ class EtsPredictor final : public SeriesPredictor {
   static double sse_one_step(std::span<const double> series, double alpha,
                              double beta);
 
-  EtsPredictorConfig config_;
   double alpha_ = 0.5;
   double beta_ = 0.1;
 };

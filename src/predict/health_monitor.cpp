@@ -15,12 +15,9 @@ const char* tier_name(DegradationTier tier) {
   return "?";
 }
 
-PredictorHealthMonitor::PredictorHealthMonitor(HealthConfig config)
-    : config_(config) {}
-
 bool PredictorHealthMonitor::healthy(double raw_forecast) const {
   return std::isfinite(raw_forecast) &&
-         std::abs(raw_forecast) <= config_.explosion_threshold;
+         std::abs(raw_forecast) <= kExplosionThreshold;
 }
 
 bool PredictorHealthMonitor::observe(double raw_forecast) {
@@ -34,14 +31,14 @@ bool PredictorHealthMonitor::observe(double raw_forecast) {
   } else {
     ++healthy_streak_;
   }
-  while (window_.size() > config_.fault_window) {
+  while (window_.size() > kFaultWindow) {
     if (window_.front()) --window_faults_;
     window_.pop_front();
   }
-  if (window_faults_ >= config_.demote_faults &&
+  if (window_faults_ >= kDemoteFaults &&
       tier_ != DegradationTier::kReservedOnly) {
     demote();
-  } else if (healthy_streak_ >= config_.promote_healthy &&
+  } else if (healthy_streak_ >= kPromoteHealthy &&
              tier_ != DegradationTier::kPrimary) {
     promote();
   }

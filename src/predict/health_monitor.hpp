@@ -39,26 +39,22 @@ enum class DegradationTier : std::uint8_t {
 
 const char* tier_name(DegradationTier tier);
 
-struct HealthConfig {
-  /// A finite forecast whose magnitude exceeds this is a fault. Forecasts
-  /// are request-normalized fractions (healthy range roughly [0, 1]), so
-  /// this threshold can never trip on a sane model.
-  double explosion_threshold = 1e3;
-  /// Sliding window of recent forecast observations.
-  std::size_t fault_window = 48;
-  /// Faults within the window that force a one-rung demotion.
-  std::size_t demote_faults = 4;
-  /// Consecutive healthy primary forecasts required before promoting one
-  /// rung back up (hysteresis against flapping).
-  std::size_t promote_healthy = 96;
-};
-
 /// Tracks raw-forecast health and the current degradation tier. One
 /// monitor guards one VectorPredictor (all resource types share the tier,
 /// matching the all-types-must-unlock semantics of Eq. 21).
 class PredictorHealthMonitor {
  public:
-  explicit PredictorHealthMonitor(HealthConfig config = {});
+  /// A finite forecast whose magnitude exceeds this is a fault. Forecasts
+  /// are request-normalized fractions (healthy range roughly [0, 1]), so
+  /// this threshold can never trip on a sane model.
+  static constexpr double kExplosionThreshold = 1e3;
+  /// Sliding window of recent forecast observations.
+  static constexpr std::size_t kFaultWindow = 48;
+  /// Faults within the window that force a one-rung demotion.
+  static constexpr std::size_t kDemoteFaults = 4;
+  /// Consecutive healthy primary forecasts required before promoting one
+  /// rung back up (hysteresis against flapping).
+  static constexpr std::size_t kPromoteHealthy = 96;
 
   /// Is this raw forecast healthy? (finite and below the explosion
   /// threshold). Does not mutate state.
@@ -90,7 +86,6 @@ class PredictorHealthMonitor {
   void demote();
   void promote();
 
-  HealthConfig config_;
   DegradationTier tier_ = DegradationTier::kPrimary;
   std::deque<bool> window_;  // true = fault
   std::size_t window_faults_ = 0;

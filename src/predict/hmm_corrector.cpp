@@ -7,9 +7,17 @@
 
 namespace corp::predict {
 
-HmmCorrector::HmmCorrector(const HmmCorrectorConfig& config, util::Rng& rng)
-    : config_(config), rng_(rng.fork()) {
-  if (config.window_slots < 2) {
+namespace {
+
+/// Baum-Welch stopping rule: an iteration cap and a convergence tolerance.
+constexpr std::size_t kBaumWelchIterations = 40;
+constexpr double kBaumWelchTolerance = 1e-5;
+
+}  // namespace
+
+HmmCorrector::HmmCorrector(std::size_t window_slots, util::Rng& rng)
+    : window_slots_(window_slots), rng_(rng.fork()) {
+  if (window_slots < 2) {
     throw std::invalid_argument("HmmCorrector: window_slots must be >= 2");
   }
 }
@@ -31,14 +39,13 @@ void HmmCorrector::fit(const SeriesCorpus& corpus) {
   // band would dwarf the prediction error it is meant to fix.
   std::vector<double> window_means;
   for (const auto& series : corpus) {
-    for (std::size_t start = 0; start + config_.window_slots <= series.size();
-         start += config_.window_slots) {
+    for (std::size_t start = 0; start + window_slots_ <= series.size();
+         start += window_slots_) {
       double mean = 0.0;
-      for (std::size_t i = 0; i < config_.window_slots; ++i) {
+      for (std::size_t i = 0; i < window_slots_; ++i) {
         mean += series[start + i];
       }
-      window_means.push_back(mean /
-                             static_cast<double>(config_.window_slots));
+      window_means.push_back(mean / static_cast<double>(window_slots_));
     }
   }
   if (window_means.empty()) {
@@ -55,14 +62,13 @@ void HmmCorrector::fit(const SeriesCorpus& corpus) {
   std::vector<std::size_t> observations;
   for (const auto& series : corpus) {
     const auto symbols =
-        symbolizer_.observation_sequence(series, config_.window_slots);
+        symbolizer_.observation_sequence(series, window_slots_);
     observations.insert(observations.end(), symbols.begin(), symbols.end());
   }
   hmm_ = std::make_unique<hmm::DiscreteHmm>(
-      config_.num_states, hmm::kNumFluctuationSymbols, rng_);
+      kNumStates, hmm::kNumFluctuationSymbols, rng_);
   if (observations.size() >= 2) {
-    hmm_->baum_welch(observations, config_.baum_welch_iterations,
-                     config_.baum_welch_tolerance);
+    hmm_->baum_welch(observations, kBaumWelchIterations, kBaumWelchTolerance);
   }
   fitted_ = true;
 }
@@ -76,7 +82,7 @@ std::optional<hmm::FluctuationSymbol> HmmCorrector::predict_symbol(
     std::span<const double> recent) const {
   if (!fitted_) throw std::logic_error("HmmCorrector: not fitted");
   const auto observations =
-      symbolizer_.observation_sequence(recent, config_.window_slots);
+      symbolizer_.observation_sequence(recent, window_slots_);
   // A single window gives the HMM no transition evidence; correcting on
   // it would add more noise than it removes.
   if (observations.size() < 2) return std::nullopt;

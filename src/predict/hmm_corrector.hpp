@@ -18,18 +18,14 @@
 
 namespace corp::predict {
 
-struct HmmCorrectorConfig {
-  /// Number of hidden states H (Table II: 3 — OP/NP/UP).
-  std::size_t num_states = 3;
-  /// Observation window in slots; one symbol per window (the paper's L).
-  std::size_t window_slots = 6;
-  std::size_t baum_welch_iterations = 40;
-  double baum_welch_tolerance = 1e-5;
-};
-
 class HmmCorrector {
  public:
-  HmmCorrector(const HmmCorrectorConfig& config, util::Rng& rng);
+  /// Number of hidden states H (Table II: 3 — OP/NP/UP).
+  static constexpr std::size_t kNumStates = 3;
+
+  /// `window_slots` is the observation window, one symbol per window (the
+  /// paper's L, the stack's forecast horizon); it must be >= 2.
+  HmmCorrector(std::size_t window_slots, util::Rng& rng);
 
   /// Fits the symbolizer thresholds on the pooled corpus and trains the
   /// HMM (Baum-Welch) on the corpus's observation sequences.
@@ -53,7 +49,7 @@ class HmmCorrector {
   const hmm::DiscreteHmm& model() const;
 
  private:
-  HmmCorrectorConfig config_;
+  std::size_t window_slots_;
   util::Rng rng_;
   hmm::FluctuationSymbolizer symbolizer_;
   /// min(h - m, m - l) over the window-mean distribution (h/l = p80/p20).

@@ -6,12 +6,15 @@
 
 namespace corp::predict {
 
-MarkovChainPredictor::MarkovChainPredictor(MarkovPredictorConfig config)
-    : config_(config) {
-  if (config.num_bins < 2) {
-    throw std::invalid_argument("MarkovChainPredictor: need >= 2 bins");
-  }
-}
+namespace {
+
+/// Minimum autocorrelation to accept a signature period.
+constexpr double kSignatureThreshold = 0.8;
+/// Candidate periods searched for a signature (in slots).
+constexpr std::size_t kMinPeriod = 4;
+constexpr std::size_t kMaxPeriod = 60;
+
+}  // namespace
 
 double MarkovChainPredictor::autocorrelation(std::span<const double> series,
                                              std::size_t lag) {
@@ -35,14 +38,14 @@ std::size_t MarkovChainPredictor::bin_of(double value) const {
   if (range <= 0.0) return 0;
   const double frac = (value - min_value_) / range;
   const auto bin = static_cast<std::ptrdiff_t>(
-      frac * static_cast<double>(config_.num_bins));
+      frac * static_cast<double>(kNumBins));
   return static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(config_.num_bins) - 1));
+      bin, 0, static_cast<std::ptrdiff_t>(kNumBins) - 1));
 }
 
 double MarkovChainPredictor::bin_center(std::size_t bin) const {
   const double width = (max_value_ - min_value_) /
-                       static_cast<double>(config_.num_bins);
+                       static_cast<double>(kNumBins);
   return min_value_ + (static_cast<double>(bin) + 0.5) * width;
 }
 
@@ -66,8 +69,8 @@ void MarkovChainPredictor::train(const SeriesCorpus& corpus) {
 
   // Signature search: does any candidate period dominate on average?
   signature_period_ = 0;
-  double best_corr = config_.signature_threshold;
-  for (std::size_t period = config_.min_period; period <= config_.max_period;
+  double best_corr = kSignatureThreshold;
+  for (std::size_t period = kMinPeriod; period <= kMaxPeriod;
        ++period) {
     double corr = 0.0;
     std::size_t counted = 0;
@@ -86,7 +89,7 @@ void MarkovChainPredictor::train(const SeriesCorpus& corpus) {
   }
 
   // Markov transition counts with add-one smoothing.
-  const std::size_t n = config_.num_bins;
+  const std::size_t n = kNumBins;
   std::vector<std::vector<double>> counts(n, std::vector<double>(n, 1.0));
   for (const auto& series : corpus) {
     for (std::size_t t = 0; t + 1 < series.size(); ++t) {
@@ -110,7 +113,7 @@ double MarkovChainPredictor::predict(const PredictionQuery& query) {
   if (!trained_) {
     throw std::logic_error("MarkovChainPredictor::predict before train");
   }
-  if (history.empty()) return bin_center(config_.num_bins / 2);
+  if (history.empty()) return bin_center(kNumBins / 2);
 
   // Signature replay when the trace showed a repeating pattern and the
   // history is long enough to index into the period: the forecast for the
@@ -129,7 +132,7 @@ double MarkovChainPredictor::predict(const PredictionQuery& query) {
   // Multi-step Markov: propagate the state distribution `horizon` steps
   // and return the expected bin center. As the paper notes, correlation
   // with the actual demand weakens with each extra step.
-  const std::size_t n = config_.num_bins;
+  const std::size_t n = kNumBins;
   std::vector<double> dist(n, 0.0);
   dist[bin_of(history.back())] = 1.0;
   for (std::size_t step = 0; step < std::max<std::size_t>(horizon, 1);

@@ -18,19 +18,10 @@
 
 namespace corp::predict {
 
-struct MarkovPredictorConfig {
-  /// Number of quantization bins (PRESS uses coarse state spaces).
-  std::size_t num_bins = 12;
-  /// Minimum autocorrelation to accept a signature period.
-  double signature_threshold = 0.8;
-  /// Candidate periods searched for a signature (in slots).
-  std::size_t min_period = 4;
-  std::size_t max_period = 60;
-};
-
 class MarkovChainPredictor final : public SeriesPredictor {
  public:
-  explicit MarkovChainPredictor(MarkovPredictorConfig config = {});
+  /// Number of quantization bins (PRESS uses coarse state spaces).
+  static constexpr std::size_t kNumBins = 12;
 
   void train(const SeriesCorpus& corpus) override;
   double predict(const PredictionQuery& query) override;
@@ -49,7 +40,6 @@ class MarkovChainPredictor final : public SeriesPredictor {
   static double autocorrelation(std::span<const double> series,
                                 std::size_t lag);
 
-  MarkovPredictorConfig config_;
   double min_value_ = 0.0;
   double max_value_ = 1.0;
   /// Row-stochastic transition matrix over bins.

@@ -4,9 +4,6 @@
 
 namespace corp::predict {
 
-SlidingMeanPredictor::SlidingMeanPredictor(MeanPredictorConfig config)
-    : config_(config) {}
-
 void SlidingMeanPredictor::train(const SeriesCorpus& corpus) {
   double sum = 0.0;
   std::size_t n = 0;
@@ -22,9 +19,7 @@ void SlidingMeanPredictor::train(const SeriesCorpus& corpus) {
 double SlidingMeanPredictor::predict(const PredictionQuery& query) {
   const std::span<const double> history = query.history;  // horizon unused
   if (history.empty()) return corpus_mean_;
-  const std::size_t take = config_.window == 0
-                               ? history.size()
-                               : std::min(config_.window, history.size());
+  const std::size_t take = std::min(kWindow, history.size());
   double sum = 0.0;
   for (std::size_t i = history.size() - take; i < history.size(); ++i) {
     sum += history[i];

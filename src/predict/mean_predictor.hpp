@@ -9,14 +9,10 @@
 
 namespace corp::predict {
 
-struct MeanPredictorConfig {
-  /// Number of trailing samples averaged (0 = whole history).
-  std::size_t window = 12;
-};
-
 class SlidingMeanPredictor final : public SeriesPredictor {
  public:
-  explicit SlidingMeanPredictor(MeanPredictorConfig config = {});
+  /// Number of trailing samples averaged.
+  static constexpr std::size_t kWindow = 12;
 
   /// Stateless in the corpus: train() only records a fallback mean used
   /// when predict() is handed an empty history.
@@ -25,7 +21,6 @@ class SlidingMeanPredictor final : public SeriesPredictor {
   std::string_view name() const override { return "sliding-mean"; }
 
  private:
-  MeanPredictorConfig config_;
   double corpus_mean_ = 0.0;
 };
 

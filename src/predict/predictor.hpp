@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -31,12 +30,9 @@ namespace corp::predict {
 using SeriesCorpus = std::vector<std::vector<double>>;
 
 /// One forecast request: a chronological history view plus the horizon in
-/// slots. `entity` identifies the job/VM the series belongs to; it is
-/// carried for diagnostics and caching keys, never used in the math. The
-/// history span is non-owning — it must stay valid for the duration of the
-/// predict/predict_batch call.
+/// slots. The history span is non-owning — it must stay valid for the
+/// duration of the predict/predict_batch call.
 struct PredictionQuery {
-  std::uint64_t entity = 0;
   std::size_t horizon = 0;
   std::span<const double> history;
 };

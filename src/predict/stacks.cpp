@@ -90,8 +90,7 @@ BatchResult PredictionStack::predict_batch(const BatchRequest& request) {
 CorpStack::CorpStack(const Options& options, util::Rng& rng)
     : options_(options),
       dnn_(options.dnn, rng),
-      corrector_(options.hmm, rng),
-      tracker_(options.stack.error_history) {}
+      corrector_(options.stack.horizon_slots, rng) {}
 
 void CorpStack::train(const SeriesCorpus& corpus) {
   dnn_.train(corpus);
@@ -103,8 +102,7 @@ void CorpStack::train(const SeriesCorpus& corpus) {
 
 double CorpStack::predict(std::span<const double> history) {
   double y = dnn_.predict(PredictionQuery{
-      .entity = 0, .horizon = options_.stack.horizon_slots,
-      .history = history});
+      .horizon = options_.stack.horizon_slots, .history = history});
   if (options_.enable_hmm_correction) {
     y = corrector_.correct(y, history);
   }
@@ -149,10 +147,7 @@ double CorpStack::gate_probability() const {
 
 // ---------------------------------------------------------------- RCCR --
 
-RccrStack::RccrStack(const Options& options)
-    : options_(options),
-      ets_(options.ets),
-      tracker_(options.stack.error_history) {}
+RccrStack::RccrStack(const StackConfig& config) : config_(config) {}
 
 namespace {
 
@@ -184,21 +179,18 @@ void RccrStack::train(const SeriesCorpus& corpus) {
   SeriesCorpus compressed;
   compressed.reserve(corpus.size());
   for (const auto& series : corpus) {
-    compressed.push_back(to_window_means(series, options_.stack.horizon_slots));
+    compressed.push_back(to_window_means(series, config_.horizon_slots));
   }
   ets_.train(compressed);
-  epsilon_abs_ = options_.stack.error_tolerance * corpus_mean(corpus);
-  seed_tracker(*this, corpus, /*history_slots=*/12,
-               options_.stack.horizon_slots);
+  epsilon_abs_ = config_.error_tolerance * corpus_mean(corpus);
+  seed_tracker(*this, corpus, /*history_slots=*/12, config_.horizon_slots);
 }
 
 double RccrStack::predict(std::span<const double> history) {
   const std::vector<double> means =
-      to_window_means(history, options_.stack.horizon_slots);
-  double y = ets_.predict(
-      PredictionQuery{.entity = 0, .horizon = 1, .history = means});
-  y = confidence_lower_bound(y, tracker_.stddev(),
-                             options_.stack.confidence_level);
+      to_window_means(history, config_.horizon_slots);
+  double y = ets_.predict(PredictionQuery{.horizon = 1, .history = means});
+  y = confidence_lower_bound(y, tracker_.stddev(), config_.confidence_level);
   return std::max(0.0, y);
 }
 
@@ -207,8 +199,7 @@ void RccrStack::record_outcome(double actual, double predicted) {
 }
 
 bool RccrStack::unlocked() const {
-  return tracker_.unlocked(epsilon_abs_,
-                           options_.stack.probability_threshold);
+  return tracker_.unlocked(epsilon_abs_, config_.probability_threshold);
 }
 
 double RccrStack::gate_probability() const {
@@ -217,39 +208,43 @@ double RccrStack::gate_probability() const {
 
 // ---------------------------------------------------------- CloudScale --
 
-CloudScaleStack::CloudScaleStack(const Options& options)
-    : options_(options),
-      markov_(options.markov),
-      tracker_(options.stack.error_history) {}
+namespace {
+
+/// Window over which CloudScale measures burstiness, in slots.
+constexpr std::size_t kBurstWindow = 12;
+/// Fraction of the measured burst amplitude used as padding.
+constexpr double kBurstPaddingFraction = 0.55;
+
+}  // namespace
+
+CloudScaleStack::CloudScaleStack(const StackConfig& config)
+    : config_(config) {}
 
 void CloudScaleStack::train(const SeriesCorpus& corpus) {
   markov_.train(corpus);
-  epsilon_abs_ = options_.stack.error_tolerance * corpus_mean(corpus);
-  seed_tracker(*this, corpus, /*history_slots=*/12,
-               options_.stack.horizon_slots);
+  epsilon_abs_ = config_.error_tolerance * corpus_mean(corpus);
+  seed_tracker(*this, corpus, /*history_slots=*/12, config_.horizon_slots);
 }
 
 double CloudScaleStack::padding(std::span<const double> history) const {
   double burst = 0.0;
   if (!history.empty()) {
-    const std::size_t take =
-        std::min(options_.burst_window, history.size());
+    const std::size_t take = std::min(kBurstWindow, history.size());
     double lo = history[history.size() - take];
     double hi = lo;
     for (std::size_t i = history.size() - take; i < history.size(); ++i) {
       lo = std::min(lo, history[i]);
       hi = std::max(hi, history[i]);
     }
-    burst = (hi - lo) * options_.burst_padding_fraction;
+    burst = (hi - lo) * kBurstPaddingFraction;
   }
   const double recent_bias = std::abs(tracker_.mean());
   return std::max(burst, recent_bias);
 }
 
 double CloudScaleStack::predict(std::span<const double> history) {
-  const double y = markov_.predict(PredictionQuery{
-      .entity = 0, .horizon = options_.stack.horizon_slots,
-      .history = history});
+  const double y = markov_.predict(
+      PredictionQuery{.horizon = config_.horizon_slots, .history = history});
   return std::max(0.0, y - padding(history));
 }
 
@@ -258,8 +253,7 @@ void CloudScaleStack::record_outcome(double actual, double predicted) {
 }
 
 bool CloudScaleStack::unlocked() const {
-  return tracker_.unlocked(epsilon_abs_,
-                           options_.stack.probability_threshold);
+  return tracker_.unlocked(epsilon_abs_, config_.probability_threshold);
 }
 
 double CloudScaleStack::gate_probability() const {
@@ -268,17 +262,13 @@ double CloudScaleStack::gate_probability() const {
 
 // ----------------------------------------------------------------- DRA --
 
-DraStack::DraStack(const Options& options)
-    : options_(options),
-      mean_(options.mean),
-      tracker_(options.stack.error_history) {}
+DraStack::DraStack(const StackConfig& config) : config_(config) {}
 
 void DraStack::train(const SeriesCorpus& corpus) { mean_.train(corpus); }
 
 double DraStack::predict(std::span<const double> history) {
   return std::max(0.0, mean_.predict(PredictionQuery{
-                           .entity = 0,
-                           .horizon = options_.stack.horizon_slots,
+                           .horizon = config_.horizon_slots,
                            .history = history}));
 }
 
@@ -306,7 +296,6 @@ void validate(const StackConfig& config) {
         config.probability_threshold <= 1.0)) {
     bad("probability_threshold", "must be in [0, 1]");
   }
-  if (config.error_history == 0) bad("error_history", "must be >= 1");
   if (config.horizon_slots == 0) bad("horizon_slots", "must be >= 1");
 }
 
@@ -332,32 +321,16 @@ std::unique_ptr<PredictionStack> make_stack(Method method,
       options.dnn.trainer.patience = 5;
       options.dnn.trainer.min_delta = 1e-7;
       options.dnn.trainer.pretrain_epochs = 2;
-      options.hmm.window_slots = config.horizon_slots;
       options.enable_hmm_correction = enable_hmm_correction;
       options.enable_confidence_bound = enable_confidence_bound;
       return std::make_unique<CorpStack>(options, rng);
     }
-    case Method::kRccr: {
-      RccrStack::Options options;
-      options.stack = config;
-      // Holt's linear ETS: the trend component is what the RCCR paper's
-      // forecaster carries, and on pattern-free bursty series it is also
-      // what extrapolates burst edges into the future wrongly — the
-      // failure mode Sec. IV attributes to time-series forecasting.
-      options.ets.allow_no_trend = false;
-      options.ets.trend_damping = 0.95;
-      return std::make_unique<RccrStack>(options);
-    }
-    case Method::kCloudScale: {
-      CloudScaleStack::Options options;
-      options.stack = config;
-      return std::make_unique<CloudScaleStack>(options);
-    }
-    case Method::kDra: {
-      DraStack::Options options;
-      options.stack = config;
-      return std::make_unique<DraStack>(options);
-    }
+    case Method::kRccr:
+      return std::make_unique<RccrStack>(config);
+    case Method::kCloudScale:
+      return std::make_unique<CloudScaleStack>(config);
+    case Method::kDra:
+      return std::make_unique<DraStack>(config);
   }
   throw std::invalid_argument("make_stack: unknown method");
 }

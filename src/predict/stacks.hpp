@@ -36,8 +36,6 @@ struct StackConfig {
   double error_tolerance = 0.50;
   /// Probability threshold P_th of Eq. 21 (Table II: 0.95).
   double probability_threshold = 0.95;
-  /// Error history retained by the tracker.
-  std::size_t error_history = 512;
   /// Forecast horizon L in slots.
   std::size_t horizon_slots = 6;
 };
@@ -81,7 +79,6 @@ class CorpStack final : public PredictionStack {
   struct Options {
     StackConfig stack;
     DnnPredictorConfig dnn;
-    HmmCorrectorConfig hmm;
     bool enable_hmm_correction = true;
     bool enable_confidence_bound = true;
   };
@@ -117,12 +114,7 @@ class CorpStack final : public PredictionStack {
 /// RCCR: ETS + confidence lower bound + gate.
 class RccrStack final : public PredictionStack {
  public:
-  struct Options {
-    StackConfig stack;
-    EtsPredictorConfig ets;
-  };
-
-  explicit RccrStack(const Options& options);
+  explicit RccrStack(const StackConfig& config);
 
   void train(const SeriesCorpus& corpus) override;
   double predict(std::span<const double> history) override;
@@ -135,7 +127,7 @@ class RccrStack final : public PredictionStack {
   double absolute_tolerance() const { return epsilon_abs_; }
 
  private:
-  Options options_;
+  StackConfig config_;
   EtsPredictor ets_;
   PredictionErrorTracker tracker_;
   double epsilon_abs_ = 0.0;
@@ -146,16 +138,7 @@ class RccrStack final : public PredictionStack {
 /// padding only; it still gates reallocation on its own error history.
 class CloudScaleStack final : public PredictionStack {
  public:
-  struct Options {
-    StackConfig stack;
-    MarkovPredictorConfig markov;
-    /// Window over which burstiness is measured, in slots.
-    std::size_t burst_window = 12;
-    /// Fraction of the measured burst amplitude used as padding.
-    double burst_padding_fraction = 0.55;
-  };
-
-  explicit CloudScaleStack(const Options& options);
+  explicit CloudScaleStack(const StackConfig& config);
 
   void train(const SeriesCorpus& corpus) override;
   double predict(std::span<const double> history) override;
@@ -170,7 +153,7 @@ class CloudScaleStack final : public PredictionStack {
   /// over-estimates (which would trigger SLO violations) are damped.
   double padding(std::span<const double> history) const;
 
-  Options options_;
+  StackConfig config_;
   MarkovChainPredictor markov_;
   PredictionErrorTracker tracker_;
   double epsilon_abs_ = 0.0;
@@ -181,12 +164,7 @@ class CloudScaleStack final : public PredictionStack {
 /// stack reports unlocked() = false accordingly).
 class DraStack final : public PredictionStack {
  public:
-  struct Options {
-    StackConfig stack;
-    MeanPredictorConfig mean;
-  };
-
-  explicit DraStack(const Options& options);
+  explicit DraStack(const StackConfig& config);
 
   void train(const SeriesCorpus& corpus) override;
   double predict(std::span<const double> history) override;
@@ -196,13 +174,13 @@ class DraStack final : public PredictionStack {
   std::string_view name() const override { return "dra"; }
 
  private:
-  Options options_;
+  StackConfig config_;
   SlidingMeanPredictor mean_;
   PredictionErrorTracker tracker_;
 };
 
 /// Builds the stack matching a Method with its paper-default option
-/// tuning (trainer schedules, ETS trend policy, HMM windows). Validates
+/// tuning (CORP's trainer schedule and forecast horizon). Validates
 /// every StackConfig knob first and throws std::invalid_argument naming
 /// the bad field. The two flags are CORP-only ablation switches (ignored
 /// by the baselines). All stack construction outside this file goes

@@ -61,9 +61,8 @@ bool impute_gaps(const std::vector<double>& series,
 
 VectorPredictor::VectorPredictor(Method method, const StackConfig& config,
                                  util::Rng& rng, bool enable_hmm_correction,
-                                 bool enable_confidence_bound,
-                                 const HealthConfig& health)
-    : method_(method), monitor_(health) {
+                                 bool enable_confidence_bound)
+    : method_(method) {
   for (std::size_t r = 0; r < kNumResources; ++r) {
     stacks_[r] = make_stack(method, config, rng, enable_hmm_correction,
                             enable_confidence_bound);
@@ -162,8 +161,8 @@ std::vector<ResourceVector> VectorPredictor::predict_batch(
       } else {
         views[r][i] = series;
       }
-      batch.queries.push_back(PredictionQuery{
-          .entity = i, .horizon = 0, .history = views[r][i]});
+      batch.queries.push_back(
+          PredictionQuery{.horizon = 0, .history = views[r][i]});
     }
     raw[r] = stacks_[r]->predict_batch(batch).values;
   }

@@ -63,8 +63,7 @@ class VectorPredictor {
  public:
   VectorPredictor(Method method, const StackConfig& config, util::Rng& rng,
                   bool enable_hmm_correction = true,
-                  bool enable_confidence_bound = true,
-                  const HealthConfig& health = {});
+                  bool enable_confidence_bound = true);
 
   Method method() const { return method_; }
 

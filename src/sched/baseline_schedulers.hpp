@@ -29,24 +29,19 @@ class RccrScheduler final : public Scheduler {
 };
 
 struct CloudScaleSchedulerConfig {
-  /// Padding added to the utilization forecast before the job has enough
-  /// history of its own.
-  double initial_padding = 0.42;
-  /// Fraction of the job's recent utilization range used as padding at
-  /// re-provisioning time (the "adaptive padding" of Sec. IV).
-  double burst_padding_fraction = 0.30;
   /// Scale on all padding; the SLO-vs-utilization sweep's knob.
   double padding_scale = 1.0;
-  /// Allocation floor/ceiling as a fraction of the declared request. The
-  /// ceiling sits below 1 — CloudScale sizes to predicted demand, so it
-  /// never re-inflates to the full reservation — which pinches jobs
-  /// during demand peaks (its SLO cost in Figs. 8-9).
-  double min_fraction = 0.30;
-  double max_fraction = 0.90;
 };
 
 class CloudScaleScheduler final : public Scheduler {
  public:
+  /// Allocation floor/ceiling as a fraction of the declared request. The
+  /// ceiling sits below 1 — CloudScale sizes to predicted demand, so it
+  /// never re-inflates to the full reservation — which pinches jobs
+  /// during demand peaks (its SLO cost in Figs. 8-9).
+  static constexpr double kMinFraction = 0.30;
+  static constexpr double kMaxFraction = 0.90;
+
   explicit CloudScaleScheduler(CloudScaleSchedulerConfig config = {});
 
   Method method() const override { return Method::kCloudScale; }
@@ -68,15 +63,6 @@ class CloudScaleScheduler final : public Scheduler {
 };
 
 struct DraSchedulerConfig {
-  /// Allocation entitlement (fraction of request) for high/medium/low
-  /// share classes; the paper's 4:2:1 mix maps to indices 0/1/2. High and
-  /// medium shares receive their full declared request (DRA's generous
-  /// redistribution keeps utilization low), while low-share jobs get
-  /// squeezed — the share distortion behind DRA's high violation rate.
-  /// High/medium shares can exceed the declared request (bulk capacity
-  /// was purchased regardless), which is what keeps DRA's utilization the
-  /// lowest of the four methods.
-  std::array<double, 3> entitlement{1.35, 1.15, 0.75};
   /// Scale on entitlements; the SLO-vs-utilization sweep's knob.
   double entitlement_scale = 1.0;
 };

@@ -45,9 +45,6 @@ struct VmView {
   bool unlocked = false;
   /// capacity - committed.
   ResourceVector unallocated;
-  /// Full VM capacity. Uniform on homogeneous clusters; heterogeneous
-  /// node classes give candidate lists mixed sizes.
-  ResourceVector capacity;
   /// Whether this VM may host *new* reserved jobs this slot. False when
   /// the VM's partition is at its max_reserved_jobs admission cap.
   /// Opportunistic placement is always allowed.

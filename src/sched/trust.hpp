@@ -8,7 +8,7 @@
 // parameter λ in [0, 1]. TrustController computes that λ online from the
 // prediction stack's observed health — the continuous counterpart of the
 // PredictorHealthMonitor's discrete demote/promote ladder: instead of
-// falling off a cliff once `demote_faults` accumulate, trust degrades
+// falling off a cliff once `kDemoteFaults` accumulate, trust degrades
 // smoothly with the window fault fraction and the Eq. 21 gate margin, and
 // recovers as soon as the signals do.
 #pragma once

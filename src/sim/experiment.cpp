@@ -115,8 +115,7 @@ SimulationConfig make_simulation_config(const ExperimentConfig& experiment,
       // trust λ Simulation hands it from Params, so at trust 1 a sweep
       // point is CORP's placement behavior.
       stack.probability_threshold = lerp(0.95, 0.30, a);
-      stack.error_tolerance =
-          experiment.params.error_tolerance * lerp(1.0, 4.0, a);
+      stack.error_tolerance = Params::kErrorTolerance * lerp(1.0, 4.0, a);
       stack.confidence_level = lerp(0.88, 0.45, a);
       sched::CorpSchedulerConfig corp;
       // Piecewise: conservative half keeps the tuned defaults; past the
@@ -130,8 +129,7 @@ SimulationConfig make_simulation_config(const ExperimentConfig& experiment,
     }
     case Method::kRccr:
       stack.probability_threshold = lerp(0.95, 0.30, a);
-      stack.error_tolerance =
-          experiment.params.error_tolerance * lerp(1.0, 4.0, a);
+      stack.error_tolerance = Params::kErrorTolerance * lerp(1.0, 4.0, a);
       stack.confidence_level = lerp(0.88, 0.45, a);
       break;
     case Method::kCloudScale: {
@@ -214,15 +212,14 @@ std::size_t ExperimentHarness::sweep_threads() const {
 
 std::vector<std::size_t> ExperimentHarness::job_counts() const {
   std::vector<std::size_t> counts;
-  for (std::size_t n = config_.params.jobs_min; n <= config_.params.jobs_max;
-       n += config_.params.jobs_step) {
+  for (std::size_t n = Params::kJobsMin; n <= Params::kJobsMax;
+       n += Params::kJobsStep) {
     counts.push_back(n);
   }
   return counts;
 }
 
-std::vector<std::vector<PointResult>> ExperimentHarness::sweep_jobs(
-    double aggressiveness) {
+std::vector<std::vector<PointResult>> ExperimentHarness::sweep_jobs() {
   if (sweep_cached_) return cached_sweep_;
   const auto counts = job_counts();
   const std::size_t num_methods = std::size(predict::kAllMethods);
@@ -233,8 +230,7 @@ std::vector<std::vector<PointResult>> ExperimentHarness::sweep_jobs(
   pool.parallel_for(num_methods * counts.size(), [&](std::size_t task) {
     const std::size_t mi = task / counts.size();
     const std::size_t pi = task % counts.size();
-    results[mi][pi] = run_point(config_, predict::kAllMethods[mi],
-                                counts[pi], aggressiveness);
+    results[mi][pi] = run_point(config_, predict::kAllMethods[mi], counts[pi]);
     points_run_.fetch_add(1);
   });
   cached_sweep_ = results;
@@ -298,7 +294,7 @@ Figure ExperimentHarness::figure_utilization_vs_slo() {
   // pairs, then interpolate utilization at the paper's target SLO rates.
   const std::vector<double> knobs{0.0, 0.2, 0.4, 0.6, 0.8, 1.0};
   const std::vector<double> targets{0.05, 0.10, 0.15, 0.20, 0.25, 0.30};
-  const std::size_t num_jobs = config_.params.jobs_max;
+  const std::size_t num_jobs = Params::kJobsMax;
   const std::size_t num_methods = std::size(predict::kAllMethods);
 
   std::vector<std::vector<PointResult>> grid(
@@ -338,7 +334,7 @@ Figure ExperimentHarness::figure_utilization_vs_slo() {
 
 Figure ExperimentHarness::figure_slo_vs_confidence() {
   const std::vector<double> confidences{0.50, 0.60, 0.70, 0.80, 0.90};
-  const std::size_t num_jobs = config_.params.jobs_max;
+  const std::size_t num_jobs = Params::kJobsMax;
   const std::size_t num_methods = std::size(predict::kAllMethods);
 
   std::vector<std::vector<PointResult>> grid(
@@ -372,7 +368,7 @@ Figure ExperimentHarness::figure_slo_vs_confidence() {
 }
 
 Figure ExperimentHarness::figure_overhead() {
-  const std::size_t num_jobs = config_.params.jobs_max;  // 300 in the paper
+  const std::size_t num_jobs = Params::kJobsMax;  // 300 in the paper
   const std::size_t num_methods = std::size(predict::kAllMethods);
   std::vector<PointResult> results(num_methods);
   util::ThreadPool pool(config_.params.threads);

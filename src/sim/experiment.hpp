@@ -106,11 +106,6 @@ class ExperimentHarness {
 
   const ExperimentConfig& config() const { return config_; }
 
-  /// Jobs sweep (50..300 step 50) for every method, parallelized.
-  /// Results indexed [method][point].
-  std::vector<std::vector<PointResult>> sweep_jobs(
-      double aggressiveness = 0.35);
-
   /// Fig. 6: prediction error rate vs number of jobs.
   Figure figure_prediction_error();
 
@@ -136,6 +131,10 @@ class ExperimentHarness {
 
  private:
   std::vector<std::size_t> job_counts() const;
+
+  /// Jobs sweep (50..300 step 50) for every method at the default
+  /// aggressiveness, parallelized. Results indexed [method][point].
+  std::vector<std::vector<PointResult>> sweep_jobs();
 
   ExperimentConfig config_;
   /// Cached jobs sweep (figures 6 and 7 share it).

@@ -1,6 +1,6 @@
-// Table II parameter settings, centralized. Every experiment harness and
-// example starts from these defaults and overrides only what its sweep
-// varies.
+// Table II parameter settings, centralized. The values no run varies are
+// constants; every experiment harness and example starts from the
+// remaining defaults and overrides only what its sweep varies.
 #pragma once
 
 #include <cstddef>
@@ -11,26 +11,25 @@
 
 namespace corp::sim {
 
-struct ReplicationConfig;
-
 struct Params {
   // --- Table II ---
   // The rest of Table II lives where the code reads it: servers N_p in
   // cluster::EnvironmentConfig's presets (50 Palmetto, 30 EC2), the DNN
   // shape (h = 4 layers of N_n = 50 units) and history Delta = 12 in
   // predict::DnnPredictorConfig, the HMM's H = 3 states in
-  // predict::HmmCorrectorConfig.
+  // predict::HmmCorrector::kNumStates, the weights omega = (0.4, 0.4, 0.2)
+  // of Eq. 2 in trace::ResourceWeights.
   /// Number of jobs |J|: 50-300 with step 50.
-  std::size_t jobs_min = 50;
-  std::size_t jobs_max = 300;
-  std::size_t jobs_step = 50;
+  static constexpr std::size_t kJobsMin = 50;
+  static constexpr std::size_t kJobsMax = 300;
+  static constexpr std::size_t kJobsStep = 50;
   /// Resource types l = 3 (CPU, MEM, storage).
   static constexpr std::size_t kResourceTypes = trace::kNumResources;
   /// Probability threshold P_th = 0.95.
-  double probability_threshold = 0.95;
+  static constexpr double kProbabilityThreshold = 0.95;
   /// Confidence level eta: 50%-90%; the default stack runs at the top
   /// of the range (stack_config()).
-  double confidence_max = 0.90;
+  static constexpr double kConfidenceMax = 0.90;
 
   // --- derived / fixed by Sec. III-IV ---
   /// Prediction window L = 1 minute = 6 slots of 10 s.
@@ -39,22 +38,18 @@ struct Params {
   /// mean unused amount (resolved per resource type at train time). Must
   /// comfortably exceed the conservative bias the confidence bound
   /// introduces, or the gate never opens.
-  double error_tolerance = 0.80;
+  static constexpr double kErrorTolerance = 0.80;
   /// Additive response-time slack in slots on top of duration * stretch
   /// (absorbs the one-slot rounding a single deficit slot costs).
-  double slo_slack_slots = 1.0;
-  /// Resource weights omega = (0.4, 0.4, 0.2) of Eq. 2.
-  trace::ResourceWeights weights;
+  static constexpr double kSloSlackSlots = 1.0;
   /// Convexity of the slowdown under resource pressure: a slot at
   /// bottleneck satisfaction ratio rho advances rho^p slots of work
-  /// (p > 1 models thrashing under starvation).
+  /// (p > 1 models thrashing under starvation). A run-time value on
+  /// purpose: a compile-time 2.0 lets the optimizer turn std::pow into
+  /// ratio * ratio, which differs from glibc's pow in the last bit.
   double contention_penalty = 2.0;
 
   // --- execution knobs (harness, not Table II) ---
-  /// Independent replicas per sweep point for confidence intervals.
-  std::size_t replications = 5;
-  /// Confidence level of the replication half-width.
-  double replication_confidence = 0.95;
   /// Worker threads for sweep and replication fan-out (0 = hardware
   /// concurrency). One knob drives both the per-figure point sweeps and
   /// run_replicated_point.
@@ -68,11 +63,6 @@ struct Params {
   /// Fanning out needs a resolved worker count > 1; on a single-core
   /// host the engine stays inline-serial regardless of this value.
   std::size_t shards = 1;
-  /// Chunk size (KiB) of the streaming trace ingester: parse-work unit
-  /// and determinism boundary of trace::StreamReader. Purely a
-  /// throughput/footprint knob — results are bit-identical for every
-  /// value (pinned by tests/trace/stream_reader_test).
-  std::size_t ingest_chunk_kb = 4096;
   /// Time base of the slot loop (sim/slot_clock.hpp). The event clock
   /// jumps over spans where nothing can change — no queued work, no
   /// running jobs — landing on the next arrival, crash-retry release,
@@ -101,10 +91,6 @@ struct Params {
 
   /// Builds the default per-type prediction StackConfig.
   predict::StackConfig stack_config() const;
-
-  /// Builds the ReplicationConfig (replications, confidence, threads)
-  /// these params describe.
-  ReplicationConfig replication_config() const;
 };
 
 }  // namespace corp::sim

@@ -4,9 +4,19 @@
 
 namespace corp::sim {
 
+namespace {
+
+/// Error tolerance eps as a fraction of the trace's mean unused CPU
+/// (resolved to absolute units per trace, so the same value works on the
+/// cluster and EC2 environments whose CPU scales differ).
+constexpr double kEpsilonRelative = 0.9;
+/// Jobs shorter than this many slots are skipped.
+constexpr std::size_t kMinDurationSlots = 6;
+
+}  // namespace
+
 PredictionEvalResult evaluate_prediction_error(
-    predict::VectorPredictor& predictor, const trace::Trace& trace,
-    const PredictionEvalConfig& config) {
+    predict::VectorPredictor& predictor, const trace::Trace& trace) {
   PredictionEvalResult result;
   constexpr auto kCpu = static_cast<std::size_t>(trace::ResourceKind::kCpu);
   // Work in request-normalized units (the space the stacks train in) and
@@ -22,12 +32,12 @@ PredictionEvalResult evaluate_prediction_error(
     }
   }
   if (samples > 0) mean_unused /= static_cast<double>(samples);
-  const double epsilon = config.epsilon_relative * mean_unused;
+  const double epsilon = kEpsilonRelative * mean_unused;
 
   double sum_error = 0.0;
   double sum_abs_error = 0.0;
   for (const trace::Job& job : trace.jobs()) {
-    if (job.duration_slots < config.min_duration_slots) continue;
+    if (job.duration_slots < kMinDurationSlots) continue;
     if (job.request[kCpu] <= 0.0) continue;
     // Request-normalized unused-CPU series.
     std::vector<double> unused;

@@ -11,23 +11,15 @@
 // Protocol: each job's unused-CPU series is split in half; the method's
 // full prediction stack sees the first half and forecasts; the actual
 // value is the mean unused CPU over the second half. A job is correct when
-// delta = actual - predicted lies in [0, eps).
+// delta = actual - predicted lies in [0, eps), eps being 0.9 x the trace's
+// mean unused CPU. Jobs shorter than one window (6 slots) are skipped:
+// with less history there is nothing for any method to predict from.
 #pragma once
 
 #include "predict/vector_predictor.hpp"
 #include "trace/job.hpp"
 
 namespace corp::sim {
-
-struct PredictionEvalConfig {
-  /// Error tolerance eps as a fraction of the trace's mean unused CPU
-  /// (resolved to absolute units per trace, so the same knob works on the
-  /// cluster and EC2 environments whose CPU scales differ).
-  double epsilon_relative = 0.9;
-  /// Jobs shorter than this many slots are skipped: with less than one
-  /// window of history there is nothing for any method to predict from.
-  std::size_t min_duration_slots = 6;
-};
 
 struct PredictionEvalResult {
   std::size_t jobs_evaluated = 0;
@@ -40,7 +32,6 @@ struct PredictionEvalResult {
 
 /// Evaluates a trained predictor's CPU stack over every job of the trace.
 PredictionEvalResult evaluate_prediction_error(
-    predict::VectorPredictor& predictor, const trace::Trace& trace,
-    const PredictionEvalConfig& config = {});
+    predict::VectorPredictor& predictor, const trace::Trace& trace);
 
 }  // namespace corp::sim

@@ -16,8 +16,10 @@ namespace corp::sim {
 
 namespace {
 
-MetricEstimate estimate(const std::vector<double>& samples,
-                        double confidence) {
+/// Confidence level of the half-width (two-sided, normal approx).
+constexpr double kConfidence = 0.95;
+
+MetricEstimate estimate(const std::vector<double>& samples) {
   MetricEstimate out;
   // A lone sample carries no spread information: report "unknown", not a
   // misleadingly tight zero-width interval. Table/CSV writers render the
@@ -30,7 +32,7 @@ MetricEstimate estimate(const std::vector<double>& samples,
   out.min = stats.min();
   out.max = stats.max();
   if (samples.size() > 1) {
-    const double theta = 1.0 - confidence;
+    const double theta = 1.0 - kConfidence;
     out.half_width = util::z_half_alpha(theta) * stats.stddev() /
                      std::sqrt(static_cast<double>(samples.size()));
   }
@@ -83,10 +85,10 @@ ReplicatedPoint run_replicated_point(const ExperimentConfig& experiment,
 
   ReplicatedPoint out;
   out.replications = config.replications;
-  out.overall_utilization = estimate(util_s, config.confidence);
-  out.slo_violation_rate = estimate(slo, config.confidence);
-  out.prediction_error_rate = estimate(err, config.confidence);
-  out.opportunistic_placements = estimate(opp, config.confidence);
+  out.overall_utilization = estimate(util_s);
+  out.slo_violation_rate = estimate(slo);
+  out.prediction_error_rate = estimate(err);
+  out.opportunistic_placements = estimate(opp);
 
   const std::chrono::duration<double, std::milli> wall =
       std::chrono::steady_clock::now() - start;

@@ -22,7 +22,8 @@ namespace corp::sim {
 /// Mean and symmetric confidence half-width of one metric across seeds.
 struct MetricEstimate {
   double mean = 0.0;
-  /// z * sd / sqrt(n); NaN when n < 2 (spread unknown, not zero).
+  /// z * sd / sqrt(n) at 95% confidence (two-sided, normal approx); NaN
+  /// when n < 2 (spread unknown, not zero).
   double half_width = 0.0;
   double min = 0.0;
   double max = 0.0;
@@ -51,8 +52,6 @@ struct ReplicatedPoint {
 
 struct ReplicationConfig {
   std::size_t replications = 5;
-  /// Confidence level of the half-width (two-sided, normal approx).
-  double confidence = 0.95;
   /// Worker threads for the replica fan-out (0 = hardware concurrency).
   std::size_t threads = 0;
 };

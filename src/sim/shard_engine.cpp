@@ -29,6 +29,9 @@ using trace::Job;
 using trace::kNumResources;
 using trace::ResourceVector;
 
+/// Resource weights omega = (0.4, 0.4, 0.2) of Eq. 2.
+constexpr trace::ResourceWeights kWeights{};
+
 double elapsed_ms(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
@@ -203,13 +206,13 @@ struct RunState {
       config.stack.value_or(params.stack_config()).probability_threshold;
 
   cluster::Cluster cluster{config.environment};
-  cluster::SlotMetricsAccumulator metrics{params.weights};
+  cluster::SlotMetricsAccumulator metrics{kWeights};
   cluster::SloTracker slo{};
   util::Rng rng{config.seed ^ 0x9e3779b97f4a7c15ULL};
   const ResourceVector max_vm_capacity = cluster.max_vm_capacity();
   // Timeline denominator: VM capacities are fixed for the run.
   const double weighted_capacity =
-      cluster.total_capacity().weighted_total(params.weights.w);
+      cluster.total_capacity().weighted_total(kWeights.w);
 
   // Shard layout: shards == 0 resolves to one shard per worker thread;
   // any request is clamped to the VM count, so a single VM (or an empty
@@ -320,7 +323,7 @@ struct RunState {
     const auto response = static_cast<std::size_t>(t - job.submit_slot + 1);
     const double threshold =
         static_cast<double>(job.duration_slots) * job.slo_stretch +
-        params.slo_slack_slots;
+        Params::kSloSlackSlots;
     if (dropped) {
       slo.record_failure(job.id, job.duration_slots, response, threshold);
     } else {
@@ -332,7 +335,7 @@ struct RunState {
   // Committed fraction of total cluster capacity (weighted).
   double committed_fraction() const {
     const double committed =
-        cluster.total_committed().weighted_total(params.weights.w);
+        cluster.total_committed().weighted_total(kWeights.w);
     return weighted_capacity > 0.0 ? committed / weighted_capacity : 0.0;
   }
 
@@ -409,7 +412,6 @@ struct RunState {
         views[v] = sched::VmView{};
         views[v].vm_id = cluster.vm(v).id();
         views[v].unallocated = cluster.vm(v).unallocated();
-        views[v].capacity = cluster.vm(v).capacity();
       }
       if (partition_caps) {
         shard.partition_reserved.assign(num_partitions, 0);
@@ -935,7 +937,7 @@ struct RunState {
     }
     sample.queued = queue.size();
     sample.overall_utilization =
-        cluster::overall_utilization(slot_samples, params.weights);
+        cluster::overall_utilization(slot_samples, kWeights);
     sample.committed_fraction = committed_fraction();
     sample.completions = slo.completed() - completed_before;
     sample.violations = slo.violations() - violations_before;

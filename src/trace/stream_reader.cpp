@@ -29,6 +29,36 @@ namespace corp::trace {
 
 namespace {
 
+/// Microseconds per coarse record: both public traces report one row per
+/// task (Google) or VM reading (Azure) per 5-minute window.
+constexpr std::int64_t kWindowUs = 300'000'000;
+/// Machine scales: a normalized Google usage of 1.0, or 100% Azure CPU,
+/// corresponds to this many CPU cores / GB of memory / GB of storage.
+/// Azure readings carry CPU only, so their storage stays 0.
+constexpr double kCpuScaleCores = 16.0;
+constexpr double kMemScaleGb = 64.0;
+constexpr double kStorageScaleGb = 720.0;
+/// Fine 10-second slots per coarse window (ResampleConfig's default).
+constexpr std::size_t kSlotsPerWindow = ResampleConfig{}.slots_per_sample;
+constexpr std::int64_t kSlotUs =
+    kWindowUs / static_cast<std::int64_t>(kSlotsPerWindow);
+/// A task closes once the watermark passes its last window's end by two
+/// coarse windows.
+constexpr std::int64_t kCloseGapUs = 2 * kWindowUs;
+
+/// Fine slots a task of `windows` coarse windows resamples to.
+constexpr std::size_t fine_slots(std::size_t windows) {
+  return windows <= 1 ? kSlotsPerWindow : (windows - 1) * kSlotsPerWindow + 1;
+}
+/// LongTaskPolicy::kSegment cut size: the largest window count whose
+/// resampled duration stays within the short-lived cap. One 5-minute
+/// window already fills the 30-slot cap, so every segment is one window.
+constexpr std::size_t kSegmentWindows = 1;
+static_assert(fine_slots(kSegmentWindows) <= kShortJobMaxSlots &&
+              fine_slots(kSegmentWindows + 1) > kShortJobMaxSlots);
+/// SLO stretch assigned to loaded tasks (the traces have no SLOs).
+constexpr double kSloStretch = 1.10;
+
 // Every diagnostic names the 1-based file line and the offending column,
 // "line N, field 'F': reason (got 'V')", so a broken multi-gigabyte
 // download is debuggable without bisecting it.
@@ -188,8 +218,7 @@ constexpr std::array<std::string_view, 5> kAzureColumns = {
 constexpr std::string_view kDirectivePrefix = "#corp-trace schema=";
 
 bool parse_google_row(std::string_view line, std::uint64_t local_line,
-                      const StreamReaderConfig& config, ChunkOut& out,
-                      std::vector<std::string_view>& fields) {
+                      ChunkOut& out, std::vector<std::string_view>& fields) {
   if (!split_fields(line, local_line, kGoogleColumns, out, fields)) {
     return false;
   }
@@ -232,17 +261,16 @@ bool parse_google_row(std::string_view line, std::uint64_t local_line,
   row.key_index = static_cast<std::uint32_t>(task_index);
   row.start_us = static_cast<std::int64_t>(start);
   row.end_us = static_cast<std::int64_t>(end);
-  row.cpu = mean_cpu * config.google.cpu_scale_cores;
-  row.mem = canonical_mem * config.google.mem_scale_gb;
-  row.storage = mean_disk * config.google.storage_scale_gb;
+  row.cpu = mean_cpu * kCpuScaleCores;
+  row.mem = canonical_mem * kMemScaleGb;
+  row.storage = mean_disk * kStorageScaleGb;
   row.line = local_line;
   out.rows.push_back(row);
   return true;
 }
 
 bool parse_azure_row(std::string_view line, std::uint64_t local_line,
-                     const StreamReaderConfig& config, ChunkOut& out,
-                     std::vector<std::string_view>& fields) {
+                     ChunkOut& out, std::vector<std::string_view>& fields) {
   if (!split_fields(line, local_line, kAzureColumns, out, fields)) {
     return false;
   }
@@ -278,10 +306,10 @@ bool parse_azure_row(std::string_view line, std::uint64_t local_line,
   row.key_id = fnv1a_64(fields[1]);
   row.key_index = 0;
   row.start_us = static_cast<std::int64_t>(timestamp_s) * 1'000'000;
-  row.end_us = row.start_us + config.azure_interval_us;
+  row.end_us = row.start_us + kWindowUs;
   const double fraction = avg_cpu / 100.0;
-  row.cpu = fraction * config.azure_cpu_scale_cores;
-  row.mem = fraction * config.azure_mem_scale_gb;
+  row.cpu = fraction * kCpuScaleCores;
+  row.mem = fraction * kMemScaleGb;
   row.storage = 0.0;
   row.line = local_line;
   out.rows.push_back(row);
@@ -316,7 +344,7 @@ bool parse_directive(std::string_view line, const StreamReaderConfig& config,
 // Parses the lines *starting* inside [chunk_begin, chunk_end). A line
 // starting before chunk_begin is the previous chunk's, even when it ends
 // inside this one; the final owned line may run past chunk_end into the
-// window's max_line_bytes slack. Pure function of the mapped bytes.
+// window's kMaxLineBytes slack. Pure function of the mapped bytes.
 ChunkOut parse_chunk(const char* window, std::uint64_t window_offset,
                      std::uint64_t chunk_begin, std::uint64_t chunk_end,
                      std::uint64_t file_size,
@@ -336,7 +364,7 @@ ChunkOut parse_chunk(const char* window, std::uint64_t window_offset,
     ++out.lines;
     const std::uint64_t local_line = out.lines;
     const std::uint64_t limit =
-        std::min<std::uint64_t>(file_size, pos + config.max_line_bytes + 1);
+        std::min<std::uint64_t>(file_size, pos + kMaxLineBytes + 1);
     std::uint64_t eol = pos;
     while (eol < limit && at(eol) != '\n') ++eol;
     if (eol == limit && limit < file_size) {
@@ -345,7 +373,7 @@ ChunkOut parse_chunk(const char* window, std::uint64_t window_offset,
                   std::string_view(window + (pos - window_offset),
                                    static_cast<std::size_t>(preview)),
                   "line exceeds max_line_bytes (" +
-                      std::to_string(config.max_line_bytes) + ")");
+                      std::to_string(kMaxLineBytes) + ")");
       break;
     }
     std::string_view line(window + (pos - window_offset), eol - pos);
@@ -366,10 +394,8 @@ ChunkOut parse_chunk(const char* window, std::uint64_t window_offset,
       break;
     }
     const bool ok = config.schema == TraceSchema::kGoogleV2
-                        ? parse_google_row(line, local_line, config, out,
-                                           fields)
-                        : parse_azure_row(line, local_line, config, out,
-                                          fields);
+                        ? parse_google_row(line, local_line, out, fields)
+                        : parse_azure_row(line, local_line, out, fields);
     if (!ok) break;
   }
   return out;
@@ -439,10 +465,6 @@ struct CloseEntryAfter {
   }
 };
 
-double safe_fraction(double value, double scale) {
-  return scale > 0.0 ? value / scale : 0.0;
-}
-
 }  // namespace
 
 std::string_view schema_name(TraceSchema schema) {
@@ -474,14 +496,6 @@ struct StreamReader::Impl {
   std::uint64_t next_chunk = 0;
   std::uint64_t lines_total = 0;
 
-  // Assembly state: coarse window length, fine slots per window, and the
-  // derived slot length in microseconds.
-  std::int64_t window_us = 0;
-  std::int64_t close_gap_us = 0;
-  std::size_t slots_per_sample = 1;
-  std::int64_t slot_us = 1;
-  std::size_t segment_windows = 0;  // kSegment cut size; 0 = never
-
   bool have_epoch = false;
   std::int64_t watermark_us = 0;
   std::uint64_t next_job_id = 0;
@@ -497,33 +511,6 @@ struct StreamReader::Impl {
       throw std::invalid_argument("StreamReaderConfig: chunk_bytes must be > 0");
     }
     if (config.chunks_per_batch == 0) config.chunks_per_batch = 1;
-    if (config.max_line_bytes == 0) {
-      throw std::invalid_argument(
-          "StreamReaderConfig: max_line_bytes must be > 0");
-    }
-    window_us = config.schema == TraceSchema::kGoogleV2
-                    ? config.google.usage_window_us
-                    : config.azure_interval_us;
-    if (window_us <= 0) {
-      throw std::invalid_argument(
-          "StreamReaderConfig: coarse window length must be > 0");
-    }
-    slots_per_sample = std::max<std::size_t>(
-        1, config.google.resample.slots_per_sample);
-    slot_us = std::max<std::int64_t>(
-        1, window_us / static_cast<std::int64_t>(slots_per_sample));
-    close_gap_us =
-        config.close_gap_us > 0 ? config.close_gap_us : 2 * window_us;
-    if (config.long_tasks == LongTaskPolicy::kSegment &&
-        config.google.max_duration_slots > 0) {
-      // Largest window count whose resampled duration stays within the
-      // short-lived cap: fine slots = (w - 1) * sps + 1 for w >= 2.
-      segment_windows = std::max<std::size_t>(
-          1, (config.google.max_duration_slots - 1) / slots_per_sample + 1);
-      if (fine_slots(segment_windows) > config.google.max_duration_slots) {
-        segment_windows = 1;
-      }
-    }
 
     fd = ::open(owner->path_.c_str(), O_RDONLY);
     if (fd < 0) {
@@ -549,14 +536,9 @@ struct StreamReader::Impl {
     if (fd >= 0) ::close(fd);
   }
 
-  std::size_t fine_slots(std::size_t windows) const {
-    if (windows <= 1) return slots_per_sample;
-    return (windows - 1) * slots_per_sample + 1;
-  }
-
   std::int64_t slot_of(std::int64_t us) const {
     if (us <= owner->epoch_us_) return 0;
-    return (us - owner->epoch_us_) / slot_us;
+    return (us - owner->epoch_us_) / kSlotUs;
   }
 
   std::string_view timestamp_column() const {
@@ -564,18 +546,10 @@ struct StreamReader::Impl {
                                                    : kAzureColumns[0];
   }
 
-  JobClass classify(const ResourceVector& peak) const {
-    std::array<double, kNumResources> fraction{};
-    if (config.schema == TraceSchema::kGoogleV2) {
-      fraction = {safe_fraction(peak.cpu(), config.google.cpu_scale_cores),
-                  safe_fraction(peak.memory(), config.google.mem_scale_gb),
-                  safe_fraction(peak.storage(),
-                                config.google.storage_scale_gb)};
-    } else {
-      fraction = {safe_fraction(peak.cpu(), config.azure_cpu_scale_cores),
-                  safe_fraction(peak.memory(), config.azure_mem_scale_gb),
-                  0.0};
-    }
+  static JobClass classify(const ResourceVector& peak) {
+    const std::array<double, kNumResources> fraction{
+        peak.cpu() / kCpuScaleCores, peak.memory() / kMemScaleGb,
+        peak.storage() / kStorageScaleGb};
     std::size_t top = 0;
     for (std::size_t i = 1; i < fraction.size(); ++i) {
       if (fraction[i] > fraction[top]) top = i;
@@ -600,9 +574,6 @@ struct StreamReader::Impl {
   // from (seed, kTraceIngest, task key + segment), never from arrival
   // order, so the fine series is invariant to chunking and threading.
   Job refine(Job coarse, const TaskKey& key, std::uint32_t segment) const {
-    if (slots_per_sample <= 1) return coarse;
-    ResampleConfig resample = config.google.resample;
-    resample.slots_per_sample = slots_per_sample;
     const std::uint64_t substream =
         util::splitmix64_mix(
             key.id + util::kSplitMix64Gamma *
@@ -612,13 +583,13 @@ struct StreamReader::Impl {
                                     util::seed_stream::kTraceIngest,
                                     substream));
     if (coarse.usage.size() > 1) {
-      return resample_job(coarse, resample, rng);
+      return resample_job(coarse, ResampleConfig{}, rng);
     }
     // A single coarse record still covers a full window of fine slots
     // (no interior anchors to interpolate).
     Job fine = std::move(coarse);
     const ResourceVector sample = fine.usage.front();
-    fine.usage.assign(slots_per_sample, sample);
+    fine.usage.assign(kSlotsPerWindow, sample);
     fine.duration_slots = fine.usage.size();
     return fine;
   }
@@ -628,18 +599,17 @@ struct StreamReader::Impl {
     Job coarse;
     coarse.id = next_job_id++;
     coarse.submit_slot = slot_of(task.first_start_us);
-    coarse.slo_stretch = config.google.slo_stretch;
+    coarse.slo_stretch = kSloStretch;
     ResourceVector peak = task.windows.front();
     for (const auto& w : task.windows) peak = ResourceVector::max(peak, w);
-    coarse.request = peak * config.request_headroom;
+    coarse.request = peak * kRequestHeadroom;
     coarse.job_class = classify(peak);
     coarse.usage = std::move(task.windows);
     task.windows.clear();
     coarse.duration_slots = coarse.usage.size();
     Job fine = refine(std::move(coarse), key, task.segment);
     if (config.long_tasks == LongTaskPolicy::kDrop &&
-        config.google.max_duration_slots > 0 &&
-        fine.duration_slots > config.google.max_duration_slots) {
+        fine.duration_slots > kShortJobMaxSlots) {
       ++owner->stats_.jobs_dropped_long;
       return;
     }
@@ -651,24 +621,21 @@ struct StreamReader::Impl {
   }
 
   // Appends one coarse window; applies the long-task policy eagerly so an
-  // open task never accumulates more than segment_windows (or the drop
+  // open task never accumulates more than kSegmentWindows (or the drop
   // threshold) of state.
   void append_window(const TaskKey& key, OpenTask& task,
                      const ResourceVector& value, std::int64_t start_us) {
     if (task.windows.empty()) task.first_start_us = start_us;
     task.windows.push_back(value);
-    task.next_window_us = start_us + window_us;
+    task.next_window_us = start_us + kWindowUs;
     if (config.long_tasks == LongTaskPolicy::kDrop) {
-      if (config.google.max_duration_slots > 0 &&
-          fine_slots(task.windows.size()) >
-              config.google.max_duration_slots) {
+      if (fine_slots(task.windows.size()) > kShortJobMaxSlots) {
         task.dropped = true;
         task.windows.clear();
         task.windows.shrink_to_fit();
         ++owner->stats_.jobs_dropped_long;
       }
-    } else if (segment_windows > 0 &&
-               task.windows.size() >= segment_windows) {
+    } else if (task.windows.size() >= kSegmentWindows) {
       emit(key, task);
       ++owner->stats_.jobs_segmented;
       ++task.segment;
@@ -683,7 +650,7 @@ struct StreamReader::Impl {
       const TaskKey key{entry.key_id, entry.key_index};
       auto it = open.find(key);
       if (it == open.end()) continue;
-      if (it->second.last_end_us + close_gap_us != entry.close_at_us) {
+      if (it->second.last_end_us + kCloseGapUs != entry.close_at_us) {
         continue;  // stale: the task grew after this entry was pushed
       }
       emit(key, it->second);
@@ -697,7 +664,8 @@ struct StreamReader::Impl {
       owner->epoch_us_ = row.start_us;
       watermark_us = row.start_us;
     }
-    if (row.start_us < watermark_us - config.reorder_slack_us) {
+    // Both public traces are sorted, so no reordering slack is allowed.
+    if (row.start_us < watermark_us) {
       fail_field(row.line, timestamp_column(), std::to_string(row.start_us),
                  "out-of-order timestamp (watermark " +
                      std::to_string(watermark_us) + " us)");
@@ -726,7 +694,7 @@ struct StreamReader::Impl {
           // The trace omits windows with unchanged usage; repeat the
           // previous record across the gap.
           const std::int64_t missing =
-              (row.start_us - task.next_window_us) / window_us;
+              (row.start_us - task.next_window_us) / kWindowUs;
           const ResourceVector fill = task.windows.back();
           for (std::int64_t g = 0; g < missing && !task.dropped; ++g) {
             ++owner->stats_.gap_fills;
@@ -737,12 +705,12 @@ struct StreamReader::Impl {
       }
     }
     task.last_end_us = std::max(task.last_end_us, row.end_us);
-    close_heap.push(CloseEntry{task.last_end_us + close_gap_us, key.id,
+    close_heap.push(CloseEntry{task.last_end_us + kCloseGapUs, key.id,
                                key.index});
   }
 
   // Lower bound on any future emission's submit slot: the watermark
-  // (minus reorder slack) bounds rows not yet seen, and each open task's
+  // bounds rows not yet seen, and each open task's
   // anchor bounds the segments it will still emit. Min-reduction over the
   // open map is order-insensitive, so unordered iteration is safe.
   void update_safe_submit_slot() {
@@ -754,7 +722,7 @@ struct StreamReader::Impl {
       owner->safe_submit_slot_ = 0;
       return;
     }
-    std::int64_t bound_us = watermark_us - config.reorder_slack_us;
+    std::int64_t bound_us = watermark_us;
     for (const auto& [key, task] : open) {  // lint: sorted-gather
       if (task.dropped) continue;
       const std::int64_t anchor =
@@ -783,7 +751,7 @@ struct StreamReader::Impl {
     const std::uint64_t map_begin =
         batch_begin == 0 ? 0 : (batch_begin - 1) / page_size * page_size;
     const std::uint64_t map_end =
-        std::min<std::uint64_t>(file_size, batch_end + config.max_line_bytes);
+        std::min<std::uint64_t>(file_size, batch_end + kMaxLineBytes);
     const MappedWindow window(fd, map_begin,
                               static_cast<std::size_t>(map_end - map_begin),
                               owner->path_);

@@ -8,13 +8,13 @@
 //
 // Bounded-memory contract (docs/traces.md):
 //  * the file is mapped one batch window at a time
-//    (chunks_per_batch * chunk_bytes + max_line_bytes + one page) and
+//    (chunks_per_batch * chunk_bytes + kMaxLineBytes + one page) and
 //    unmapped before the next batch, so resident set and virtual address
 //    use stay O(batch), not O(file);
 //  * per-task assembly state is one coarse window vector per *open* task,
 //    closed and emitted as soon as the row watermark passes the task's
-//    last window by close_gap_us (long tasks are dropped or segmented
-//    eagerly, so no task accumulates unbounded windows).
+//    last window by two coarse windows (long tasks are dropped or
+//    segmented eagerly, so no task accumulates unbounded windows).
 //
 // Determinism contract: chunk boundaries are fixed byte offsets
 // (multiples of chunk_bytes over the whole file), a chunk owns exactly
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "trace/job.hpp"
-#include "trace/resampler.hpp"
 
 namespace corp::util {
 class ThreadPool;
@@ -62,30 +61,18 @@ std::string_view schema_name(TraceSchema schema);
 /// std::invalid_argument on anything else.
 TraceSchema parse_schema_name(std::string_view name);
 
-/// Machine scales and preprocessing of the Google schema. Timestamps are
-/// microseconds, usage records cover 5-minute windows, and CPU and memory
-/// are normalized to the largest machine. The paper's preprocessing: the
-/// coarse windows are resampled to 10-second slots and long tasks dropped.
-struct GoogleFormatConfig {
-  /// Microseconds per coarse usage record (5 minutes in the trace).
-  std::int64_t usage_window_us = 300'000'000;
-  /// Storage capacity (GB) that a disk_request of 1.0 corresponds to.
-  double storage_scale_gb = 720.0;
-  /// CPU cores that a cpu_request of 1.0 corresponds to.
-  double cpu_scale_cores = 16.0;
-  /// Memory (GB) that a memory_request of 1.0 corresponds to.
-  double mem_scale_gb = 64.0;
-  /// Resampling of the coarse records into 10-second slots.
-  ResampleConfig resample;
-  /// Drop tasks longer than this many fine slots (the paper's removal of
-  /// long-lived jobs). 0 disables the filter.
-  std::size_t max_duration_slots = kShortJobMaxSlots;
-  /// SLO stretch assigned to loaded tasks (the trace has no SLOs).
-  double slo_stretch = 1.10;
-};
+/// Hard cap on one CSV line; a longer line is a malformed-input error,
+/// and the mapped window carries exactly this much slack past the batch
+/// for lines that straddle its end.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{64} << 10;
 
-/// What to do with tasks whose assembled duration exceeds
-/// max_duration_slots.
+/// Streamed single-table ingest has no SUBMIT-event join, so the declared
+/// request is peak observed usage times this headroom.
+inline constexpr double kRequestHeadroom = 1.25;
+
+/// What to do with tasks whose assembled duration exceeds the paper's
+/// short-lived cap, kShortJobMaxSlots fine slots. Both schemas record
+/// 5-minute windows, resampled to 10-second slots as the paper does.
 enum class LongTaskPolicy : std::uint8_t {
   /// Drop them, as the paper does for the Google trace (Sec. IV). The
   /// task keeps streaming through the watermark machinery but its
@@ -107,32 +94,8 @@ struct StreamReaderConfig {
   /// Chunks mapped and parsed per advance() call; one batch is the unit
   /// of parallel parsing and of mapped address space.
   std::size_t chunks_per_batch = 4;
-  /// Hard cap on one CSV line; a longer line is a malformed-input error,
-  /// and the mapped window carries exactly this much slack past the
-  /// batch for lines that straddle its end.
-  std::size_t max_line_bytes = std::size_t{64} << 10;
-
-  // --- schema interpretation ---
-  /// Google scales/resampling/limits; usage_window_us is also the coarse
-  /// window length used for gap filling.
-  GoogleFormatConfig google;
-  /// Azure reading interval (5 minutes) and machine scales mapping
-  /// percent CPU readings onto the resource model.
-  std::int64_t azure_interval_us = 300'000'000;
-  double azure_cpu_scale_cores = 16.0;
-  double azure_mem_scale_gb = 64.0;
 
   // --- assembly ---
-  /// Rows may arrive at most this many microseconds behind the maximum
-  /// start timestamp seen so far; anything older is an out-of-order
-  /// error (both public traces are sorted, so the default is strict).
-  std::int64_t reorder_slack_us = 0;
-  /// A task closes once the watermark passes its last window's end by
-  /// this much. 0 resolves to 2 * usage_window_us.
-  std::int64_t close_gap_us = 0;
-  /// Streamed single-table ingest has no SUBMIT-event join, so the
-  /// declared request is peak observed usage times this headroom.
-  double request_headroom = 1.25;
   LongTaskPolicy long_tasks = LongTaskPolicy::kDrop;
   /// Base seed of the per-task resample-jitter streams
   /// (seed_stream::kTraceIngest).

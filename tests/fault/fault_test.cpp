@@ -199,15 +199,17 @@ TEST(FaultInjectorTest, PredictorFaultsMixNanAndExplode) {
 }
 
 TEST(FaultInjectorTest, RetryBackoffDoublesAndCaps) {
-  FaultConfig config;
-  config.retry_backoff_base_slots = 2;
-  config.retry_backoff_cap_slots = 16;
-  const FaultInjector injector(config, 1, 0, 0);
-  EXPECT_EQ(injector.retry_backoff(1), 2);
-  EXPECT_EQ(injector.retry_backoff(2), 4);
-  EXPECT_EQ(injector.retry_backoff(3), 8);
-  EXPECT_EQ(injector.retry_backoff(4), 16);
-  EXPECT_EQ(injector.retry_backoff(10), 16);  // capped
+  constexpr std::int64_t kBase = FaultInjector::kRetryBackoffBaseSlots;
+  constexpr std::int64_t kCap = FaultInjector::kRetryBackoffCapSlots;
+  const FaultInjector injector(FaultConfig{}, 1, 0, 0);
+  // 2, 4, 8, 16, 32 — then the doubling would pass the cap of 48.
+  std::size_t attempt = 1;
+  for (std::int64_t delay = kBase; delay < kCap; delay *= 2, ++attempt) {
+    EXPECT_EQ(injector.retry_backoff(attempt), delay) << attempt;
+  }
+  EXPECT_EQ(attempt, 6u);
+  EXPECT_EQ(injector.retry_backoff(attempt), kCap);
+  EXPECT_EQ(injector.retry_backoff(10), kCap);  // capped
 }
 
 TEST(FaultInjectorTest, InertInjectorAnswersNoToEverything) {

@@ -1,7 +1,7 @@
 // MetricRegistry semantics: counter/gauge/phase/histogram behaviour,
 // quantile extraction on known distributions, concurrent updates through
-// util::ThreadPool, the enabled/disabled gate, and the JSON/CSV export
-// schema (docs/observability.md).
+// util::ThreadPool, the enabled/disabled gate, and the JSON export schema
+// (docs/observability.md).
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -264,19 +263,6 @@ TEST(ExportTest, NonFiniteValuesSerializeAsNull) {
 TEST(ExportTest, JsonEscapesMetricNames) {
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(json_escape("tab\there"), "tab\\there");
-}
-
-TEST(ExportTest, CsvRowsPerScalarField) {
-  MetricRegistry reg;
-  reg.set_enabled(true);
-  reg.counter("c").add(7);
-  { ScopedTimer t("p", reg); }
-  std::ostringstream out;
-  write_csv(out, reg.snapshot(), "rid");
-  const std::string csv = out.str();
-  EXPECT_EQ(csv.rfind("run_id,kind,name,field,value\n", 0), 0u) << csv;
-  EXPECT_NE(csv.find("rid,counter,c,value,7"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("rid,phase,p,calls,1"), std::string::npos) << csv;
 }
 
 }  // namespace

@@ -23,18 +23,6 @@ SeriesCorpus corpus(std::uint64_t seed, std::size_t count = 4,
   return out;
 }
 
-TEST(BacktestTest, RejectsDegenerateConfig) {
-  util::Rng rng(1);
-  auto stack = make_stack(Method::kDra, StackConfig{}, rng);
-  stack->train(corpus(2));
-  BacktestConfig config;
-  config.horizon = 0;
-  EXPECT_THROW(backtest(*stack, corpus(3), config), std::invalid_argument);
-  config.horizon = 6;
-  config.stride = 0;
-  EXPECT_THROW(backtest(*stack, corpus(3), config), std::invalid_argument);
-}
-
 TEST(BacktestTest, EmptyCorpusGivesZeroForecasts) {
   util::Rng rng(1);
   auto stack = make_stack(Method::kDra, StackConfig{}, rng);
@@ -49,12 +37,9 @@ TEST(BacktestTest, ForecastCountMatchesOrigins) {
   auto stack = make_stack(Method::kDra, StackConfig{}, rng);
   stack->train(corpus(2));
   SeriesCorpus one = corpus(3, 1, 60);
-  BacktestConfig config;
-  config.warmup_slots = 12;
-  config.stride = 6;
-  config.horizon = 6;
-  const BacktestReport report = backtest(*stack, one, config);
-  // Origins: 12, 18, 24, ..., 54 -> 8 forecasts.
+  const BacktestReport report = backtest(*stack, one);
+  // 12-slot warm-up, stride 6, horizon 6. Origins: 12, 18, 24, ..., 54
+  // -> 8 forecasts.
   EXPECT_EQ(report.forecasts, 8u);
 }
 
@@ -82,30 +67,13 @@ TEST(BacktestTest, CorpStackIsConservative) {
   EXPECT_GT(report.band_rate, 0.4);
 }
 
-TEST(BacktestTest, FrozenStackIgnoresOutcomes) {
-  // With feed_outcomes = false the stack state (hence predictions) must
-  // be identical across repeated backtests.
-  util::Rng rng(9);
-  auto stack = make_stack(Method::kRccr, StackConfig{}, rng);
-  stack->train(corpus(7));
-  BacktestConfig config;
-  config.feed_outcomes = false;
-  const SeriesCorpus eval = corpus(17, 3, 120);
-  const BacktestReport a = backtest(*stack, eval, config);
-  const BacktestReport b = backtest(*stack, eval, config);
-  EXPECT_DOUBLE_EQ(a.rmse, b.rmse);
-  EXPECT_DOUBLE_EQ(a.bias, b.bias);
-}
-
 TEST(BacktestTest, OnlineFeedbackChangesState) {
   util::Rng rng(9);
   auto stack = make_stack(Method::kRccr, StackConfig{}, rng);
   stack->train(corpus(7));
   const SeriesCorpus eval = corpus(19, 3, 120);
   const double gate_before = stack->gate_probability();
-  BacktestConfig config;
-  config.feed_outcomes = true;
-  backtest(*stack, eval, config);
+  backtest(*stack, eval);
   // Not asserting direction — only that outcomes flowed into the tracker.
   EXPECT_NE(stack->gate_probability(), gate_before);
 }

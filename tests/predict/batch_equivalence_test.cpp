@@ -57,8 +57,8 @@ BatchRequest to_request(const std::vector<std::vector<double>>& rows,
                         std::size_t horizon) {
   BatchRequest request;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    request.queries.push_back(PredictionQuery{
-        .entity = i, .horizon = horizon, .history = rows[i]});
+    request.queries.push_back(
+        PredictionQuery{.horizon = horizon, .history = rows[i]});
   }
   return request;
 }

@@ -3,21 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 namespace corp::predict {
 namespace {
 
-HealthConfig small_config() {
-  HealthConfig config;
-  config.fault_window = 8;
-  config.demote_faults = 3;
-  config.promote_healthy = 6;
-  return config;
+constexpr std::size_t kWindow = PredictorHealthMonitor::kFaultWindow;
+constexpr std::size_t kDemote = PredictorHealthMonitor::kDemoteFaults;
+constexpr std::size_t kPromote = PredictorHealthMonitor::kPromoteHealthy;
+// The hysteresis tests below rely on a recovery of one full window being
+// shorter than the promotion streak.
+static_assert(kWindow < kPromote);
+
+/// Feeds `n` copies of `value`.
+void observe_n(PredictorHealthMonitor& monitor, std::size_t n, double value) {
+  for (std::size_t i = 0; i < n; ++i) monitor.observe(value);
 }
 
 TEST(HealthMonitorTest, HealthyForecastsKeepPrimary) {
-  PredictorHealthMonitor monitor(small_config());
+  PredictorHealthMonitor monitor;
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(monitor.observe(0.5));
   }
@@ -37,19 +42,21 @@ TEST(HealthMonitorTest, HealthyClassification) {
 }
 
 TEST(HealthMonitorTest, AccumulatedFaultsDemote) {
-  PredictorHealthMonitor monitor(small_config());
+  PredictorHealthMonitor monitor;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(monitor.observe(nan));
   EXPECT_EQ(monitor.tier(), DegradationTier::kPrimary);
-  monitor.observe(nan);
-  EXPECT_EQ(monitor.tier(), DegradationTier::kPrimary);
-  monitor.observe(nan);  // third fault in window of 8 -> demote
+  for (std::size_t fault = 2; fault < kDemote; ++fault) {
+    monitor.observe(nan);
+    EXPECT_EQ(monitor.tier(), DegradationTier::kPrimary) << fault;
+  }
+  monitor.observe(nan);  // kDemote-th fault in the window -> demote
   EXPECT_EQ(monitor.tier(), DegradationTier::kFallback);
   EXPECT_EQ(monitor.demotions(), 1u);
 }
 
 TEST(HealthMonitorTest, RepeatedFaultsReachReservedOnlyAndStay) {
-  PredictorHealthMonitor monitor(small_config());
+  PredictorHealthMonitor monitor;
   for (int i = 0; i < 100; ++i) monitor.observe(1e12);
   EXPECT_EQ(monitor.tier(), DegradationTier::kReservedOnly);
   // No rung below reserved-only.
@@ -59,11 +66,11 @@ TEST(HealthMonitorTest, RepeatedFaultsReachReservedOnlyAndStay) {
 }
 
 TEST(HealthMonitorTest, PromotionRequiresHealthyStreak) {
-  PredictorHealthMonitor monitor(small_config());
-  for (int i = 0; i < 3; ++i) monitor.observe(1e12);
+  PredictorHealthMonitor monitor;
+  observe_n(monitor, kDemote, 1e12);
   ASSERT_EQ(monitor.tier(), DegradationTier::kFallback);
-  // Five healthy observations: streak of 6 not yet reached.
-  for (int i = 0; i < 5; ++i) monitor.observe(0.4);
+  // One healthy observation short of the promotion streak.
+  observe_n(monitor, kPromote - 1, 0.4);
   EXPECT_EQ(monitor.tier(), DegradationTier::kFallback);
   monitor.observe(0.4);
   EXPECT_EQ(monitor.tier(), DegradationTier::kPrimary);
@@ -71,13 +78,13 @@ TEST(HealthMonitorTest, PromotionRequiresHealthyStreak) {
 }
 
 TEST(HealthMonitorTest, FaultResetsHealthyStreakHysteresis) {
-  PredictorHealthMonitor monitor(small_config());
-  for (int i = 0; i < 3; ++i) monitor.observe(1e12);
+  PredictorHealthMonitor monitor;
+  observe_n(monitor, kDemote, 1e12);
   ASSERT_EQ(monitor.tier(), DegradationTier::kFallback);
-  // A flapping predictor: 5 healthy then a fault, repeatedly. The streak
-  // never reaches 6, so the monitor never promotes.
+  // A flapping predictor: kPromote - 1 healthy then a fault, repeatedly.
+  // The streak never reaches kPromote, so the monitor never promotes.
   for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 5; ++i) monitor.observe(0.4);
+    observe_n(monitor, kPromote - 1, 0.4);
     monitor.observe(std::numeric_limits<double>::quiet_NaN());
   }
   EXPECT_NE(monitor.tier(), DegradationTier::kPrimary);
@@ -85,7 +92,7 @@ TEST(HealthMonitorTest, FaultResetsHealthyStreakHysteresis) {
 }
 
 TEST(HealthMonitorTest, ResetRestoresPristineState) {
-  PredictorHealthMonitor monitor(small_config());
+  PredictorHealthMonitor monitor;
   for (int i = 0; i < 50; ++i) monitor.observe(1e12);
   monitor.reset();
   EXPECT_EQ(monitor.tier(), DegradationTier::kPrimary);
@@ -95,38 +102,36 @@ TEST(HealthMonitorTest, ResetRestoresPristineState) {
 }
 
 TEST(HealthMonitorTest, ExactDemoteThresholdBoundary) {
-  // The demotion comparison is >=: demote_faults - 1 faults in the window
-  // is safe no matter how often the pattern repeats, provided earlier
-  // faults roll out of the window before the next one lands.
-  PredictorHealthMonitor monitor(small_config());
+  // The demotion comparison is >=: kDemote - 1 faults in the window is
+  // safe no matter how often the pattern repeats, provided earlier faults
+  // roll out of the window before the next ones land.
+  PredictorHealthMonitor monitor;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int round = 0; round < 20; ++round) {
-    monitor.observe(nan);
-    monitor.observe(nan);  // 2 faults < demote_faults = 3
-    // Eight healthy observations: both faults leave the window of 8.
-    for (int i = 0; i < 8; ++i) monitor.observe(0.4);
+    observe_n(monitor, kDemote - 1, nan);  // one short of the threshold
+    // A full window of healthy observations: every fault leaves it.
+    observe_n(monitor, kWindow, 0.4);
     ASSERT_EQ(monitor.tier(), DegradationTier::kPrimary) << round;
   }
   EXPECT_EQ(monitor.demotions(), 0u);
   // One fault short of re-filling the window to the threshold...
-  monitor.observe(nan);
-  monitor.observe(nan);
+  observe_n(monitor, kDemote - 1, nan);
   EXPECT_EQ(monitor.tier(), DegradationTier::kPrimary);
-  // ...and the exact third fault demotes: the boundary is inclusive.
+  // ...and the exact kDemote-th fault demotes: the boundary is inclusive.
   monitor.observe(nan);
   EXPECT_EQ(monitor.tier(), DegradationTier::kFallback);
   EXPECT_EQ(monitor.demotions(), 1u);
 }
 
 TEST(HealthMonitorTest, ExactPromoteThresholdBoundary) {
-  PredictorHealthMonitor monitor(small_config());
-  for (int i = 0; i < 3; ++i) monitor.observe(1e12);
+  PredictorHealthMonitor monitor;
+  observe_n(monitor, kDemote, 1e12);
   ASSERT_EQ(monitor.tier(), DegradationTier::kFallback);
-  // promote_healthy - 1 healthy observations: still one short.
-  for (int i = 0; i < 5; ++i) monitor.observe(0.4);
+  // kPromote - 1 healthy observations: still one short.
+  observe_n(monitor, kPromote - 1, 0.4);
   EXPECT_EQ(monitor.tier(), DegradationTier::kFallback);
   EXPECT_EQ(monitor.promotions(), 0u);
-  // The exact promote_healthy-th healthy observation re-enters primary.
+  // The exact kPromote-th healthy observation re-enters primary.
   monitor.observe(0.4);
   EXPECT_EQ(monitor.tier(), DegradationTier::kPrimary);
   EXPECT_EQ(monitor.promotions(), 1u);
@@ -135,20 +140,19 @@ TEST(HealthMonitorTest, ExactPromoteThresholdBoundary) {
 TEST(HealthMonitorTest, OscillationIsDamped) {
   // A predictor that alternates short fault bursts with sub-streak
   // recoveries must neither promote nor demote further: demotion cleared
-  // the window evidence, the bursts stay below demote_faults, and the
-  // recoveries stay below promote_healthy. The ladder holds still
-  // instead of flapping resources open and shut.
-  PredictorHealthMonitor monitor(small_config());
-  for (int i = 0; i < 3; ++i) monitor.observe(1e12);
+  // the window evidence, the bursts stay below kDemote, and the
+  // recoveries stay below kPromote. The ladder holds still instead of
+  // flapping resources open and shut.
+  PredictorHealthMonitor monitor;
+  observe_n(monitor, kDemote, 1e12);
   ASSERT_EQ(monitor.tier(), DegradationTier::kFallback);
-  // Period-6 flapping: five healthy then a fault. The healthy streak
-  // peaks at 5 < promote_healthy = 6, and the window of 8 never holds
-  // more than two faults (they land six observations apart) so it never
-  // reaches demote_faults = 3 either.
+  // Bursts of kDemote - 1 faults, each followed by a window of healthy
+  // observations: the window never holds kDemote faults, and the healthy
+  // streak peaks at kWindow < kPromote.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 5; ++i) monitor.observe(0.4);
-    monitor.observe(nan);
+    observe_n(monitor, kDemote - 1, nan);
+    observe_n(monitor, kWindow, 0.4);
     ASSERT_EQ(monitor.tier(), DegradationTier::kFallback) << round;
   }
   EXPECT_EQ(monitor.demotions(), 1u);
@@ -157,44 +161,45 @@ TEST(HealthMonitorTest, OscillationIsDamped) {
 
 TEST(HealthMonitorTest, FullRecoveryFromReservedOnly) {
   // Reserved-only back to primary is two rungs: each costs a full
-  // promote_healthy streak (promotion resets the streak, so the climbs
-  // cannot share evidence).
-  PredictorHealthMonitor monitor(small_config());
-  for (int i = 0; i < 6; ++i) monitor.observe(1e12);
+  // kPromote streak (promotion resets the streak, so the climbs cannot
+  // share evidence).
+  PredictorHealthMonitor monitor;
+  observe_n(monitor, 2 * kDemote, 1e12);
   ASSERT_EQ(monitor.tier(), DegradationTier::kReservedOnly);
-  for (int i = 0; i < 6; ++i) monitor.observe(0.4);
+  observe_n(monitor, kPromote, 0.4);
   EXPECT_EQ(monitor.tier(), DegradationTier::kFallback);
   // One observation short of the second climb.
-  for (int i = 0; i < 5; ++i) monitor.observe(0.4);
+  observe_n(monitor, kPromote - 1, 0.4);
   EXPECT_EQ(monitor.tier(), DegradationTier::kFallback);
   monitor.observe(0.4);
   EXPECT_EQ(monitor.tier(), DegradationTier::kPrimary);
   EXPECT_EQ(monitor.promotions(), 2u);
   // Recovered state is fully functional: the demote path works again.
-  for (int i = 0; i < 3; ++i) monitor.observe(1e12);
+  observe_n(monitor, kDemote, 1e12);
   EXPECT_EQ(monitor.tier(), DegradationTier::kFallback);
 }
 
 TEST(HealthMonitorTest, WindowFaultFractionTracksWindow) {
-  PredictorHealthMonitor monitor(small_config());
+  PredictorHealthMonitor monitor;
   EXPECT_EQ(monitor.window_fault_fraction(), 0.0);
   monitor.observe(0.4);
   EXPECT_EQ(monitor.window_fault_fraction(), 0.0);
   monitor.observe(std::numeric_limits<double>::quiet_NaN());
   EXPECT_EQ(monitor.window_fault_fraction(), 0.5);  // 1 fault / 2 seen
-  for (int i = 0; i < 6; ++i) monitor.observe(0.4);
-  EXPECT_EQ(monitor.window_fault_fraction(), 1.0 / 8.0);
+  observe_n(monitor, kWindow - 2, 0.4);  // the window is now full
+  const double one_in_window = 1.0 / static_cast<double>(kWindow);
+  EXPECT_EQ(monitor.window_fault_fraction(), one_in_window);
   // The fault sits at the second slot of the full window, so it takes
   // two more observations to roll out.
   monitor.observe(0.4);
-  EXPECT_EQ(monitor.window_fault_fraction(), 1.0 / 8.0);
+  EXPECT_EQ(monitor.window_fault_fraction(), one_in_window);
   monitor.observe(0.4);
   EXPECT_EQ(monitor.window_fault_fraction(), 0.0);
 }
 
 TEST(HealthMonitorTest, DemotionClearsFaultFractionEvidence) {
-  PredictorHealthMonitor monitor(small_config());
-  for (int i = 0; i < 3; ++i) monitor.observe(1e12);
+  PredictorHealthMonitor monitor;
+  observe_n(monitor, kDemote, 1e12);
   ASSERT_EQ(monitor.tier(), DegradationTier::kFallback);
   // Demotion consumed the window: the continuous signal restarts at 0
   // so the next rung is judged on fresh evidence only.

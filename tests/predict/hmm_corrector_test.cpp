@@ -25,16 +25,17 @@ SeriesCorpus bursty_corpus(std::uint64_t seed) {
   return corpus;
 }
 
+/// The stack horizon every CorpStack hands its corrector (L = 6).
+constexpr std::size_t kWindowSlots = 6;
+
 TEST(HmmCorrectorTest, RejectsTinyWindow) {
   util::Rng rng(1);
-  HmmCorrectorConfig config;
-  config.window_slots = 1;
-  EXPECT_THROW(HmmCorrector(config, rng), std::invalid_argument);
+  EXPECT_THROW(HmmCorrector(1, rng), std::invalid_argument);
 }
 
 TEST(HmmCorrectorTest, UnfittedThrows) {
   util::Rng rng(1);
-  HmmCorrector corrector({}, rng);
+  HmmCorrector corrector(kWindowSlots, rng);
   EXPECT_THROW(corrector.predict_symbol(std::vector<double>(20, 0.5)),
                std::logic_error);
   EXPECT_THROW(corrector.model(), std::logic_error);
@@ -42,13 +43,13 @@ TEST(HmmCorrectorTest, UnfittedThrows) {
 
 TEST(HmmCorrectorTest, EmptyCorpusThrows) {
   util::Rng rng(1);
-  HmmCorrector corrector({}, rng);
+  HmmCorrector corrector(kWindowSlots, rng);
   EXPECT_THROW(corrector.fit({}), std::invalid_argument);
 }
 
 TEST(HmmCorrectorTest, FitBuildsModel) {
   util::Rng rng(2);
-  HmmCorrector corrector({}, rng);
+  HmmCorrector corrector(kWindowSlots, rng);
   corrector.fit(bursty_corpus(3));
   EXPECT_TRUE(corrector.fitted());
   EXPECT_EQ(corrector.model().num_states(), 3u);
@@ -59,9 +60,7 @@ TEST(HmmCorrectorTest, FitBuildsModel) {
 
 TEST(HmmCorrectorTest, ShortHistoryLeavesPredictionUntouched) {
   util::Rng rng(2);
-  HmmCorrectorConfig config;
-  config.window_slots = 6;
-  HmmCorrector corrector(config, rng);
+  HmmCorrector corrector(kWindowSlots, rng);
   corrector.fit(bursty_corpus(3));
   // Fewer than two complete windows -> no symbol -> identity correction.
   const std::vector<double> short_history(7, 0.5);
@@ -71,9 +70,7 @@ TEST(HmmCorrectorTest, ShortHistoryLeavesPredictionUntouched) {
 
 TEST(HmmCorrectorTest, CorrectionMovesByExactlyMagnitude) {
   util::Rng rng(4);
-  HmmCorrectorConfig config;
-  config.window_slots = 4;
-  HmmCorrector corrector(config, rng);
+  HmmCorrector corrector(4, rng);
   corrector.fit(bursty_corpus(5));
   const double magnitude = corrector.correction_magnitude();
 
@@ -110,7 +107,7 @@ TEST(HmmCorrectorTest, CorrectionMovesByExactlyMagnitude) {
 
 TEST(HmmCorrectorTest, MagnitudeBoundedByWindowMeanBand) {
   util::Rng rng(6);
-  HmmCorrector corrector({}, rng);
+  HmmCorrector corrector(kWindowSlots, rng);
   const SeriesCorpus corpus = bursty_corpus(7);
   corrector.fit(corpus);
   // The p80/p20 band of window means is far narrower than the raw range.

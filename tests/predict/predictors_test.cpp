@@ -48,7 +48,7 @@ SeriesCorpus noisy_corpus(std::size_t series_count, std::size_t length,
 double predict_at(SeriesPredictor& predictor, std::span<const double> history,
                   std::size_t horizon) {
   return predictor.predict(
-      PredictionQuery{.entity = 0, .horizon = horizon, .history = history});
+      PredictionQuery{.horizon = horizon, .history = history});
 }
 
 // ------------------------------------------------------------------ DNN --
@@ -184,12 +184,6 @@ TEST(EtsPredictorTest, DampedTrendBounded) {
 
 // --------------------------------------------------------------- Markov --
 
-TEST(MarkovPredictorTest, RejectsBadConfig) {
-  MarkovPredictorConfig config;
-  config.num_bins = 1;
-  EXPECT_THROW(MarkovChainPredictor{config}, std::invalid_argument);
-}
-
 TEST(MarkovPredictorTest, PredictBeforeTrainThrows) {
   MarkovChainPredictor markov;
   EXPECT_THROW(predict_at(markov, std::vector<double>{1.0}, 1),
@@ -202,16 +196,16 @@ TEST(MarkovPredictorTest, EmptyCorpusThrows) {
 }
 
 TEST(MarkovPredictorTest, BinsPartitionRange) {
-  MarkovPredictorConfig config;
-  config.num_bins = 4;
-  MarkovChainPredictor markov(config);
+  constexpr std::size_t kBins = MarkovChainPredictor::kNumBins;
+  constexpr auto kBinsD = static_cast<double>(kBins);
+  MarkovChainPredictor markov;
   markov.train({{0.0, 1.0}});
   EXPECT_EQ(markov.bin_of(0.0), 0u);
-  EXPECT_EQ(markov.bin_of(1.0), 3u);
-  EXPECT_EQ(markov.bin_of(0.3), 1u);
-  EXPECT_EQ(markov.bin_of(-5.0), 0u);   // clamped
-  EXPECT_EQ(markov.bin_of(99.0), 3u);   // clamped
-  EXPECT_NEAR(markov.bin_center(0), 0.125, 1e-12);
+  EXPECT_EQ(markov.bin_of(1.0), kBins - 1);
+  EXPECT_EQ(markov.bin_of(3.5 / kBinsD), 3u);
+  EXPECT_EQ(markov.bin_of(-5.0), 0u);          // clamped
+  EXPECT_EQ(markov.bin_of(99.0), kBins - 1);   // clamped
+  EXPECT_NEAR(markov.bin_center(0), 0.5 / kBinsD, 1e-12);
 }
 
 TEST(MarkovPredictorTest, DetectsPeriodicSignature) {
@@ -258,21 +252,17 @@ TEST(MarkovPredictorTest, EmptyHistoryUsesMiddleBin) {
 // ----------------------------------------------------------------- Mean --
 
 TEST(MeanPredictorTest, WindowedMean) {
-  MeanPredictorConfig config;
-  config.window = 2;
-  SlidingMeanPredictor mean(config);
+  constexpr std::size_t kWindow = SlidingMeanPredictor::kWindow;
+  SlidingMeanPredictor mean;
   mean.train({{1.0}});
-  const std::vector<double> history{10.0, 1.0, 3.0};
-  EXPECT_DOUBLE_EQ(predict_at(mean, history, 6), 2.0);
-}
-
-TEST(MeanPredictorTest, WholeHistoryWhenWindowZero) {
-  MeanPredictorConfig config;
-  config.window = 0;
-  SlidingMeanPredictor mean(config);
-  mean.train({{1.0}});
-  const std::vector<double> history{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(predict_at(mean, history, 6), 2.0);
+  // An old outlier, then a full window of 1..kWindow: only the window
+  // is averaged.
+  std::vector<double> history{1000.0};
+  for (std::size_t i = 1; i <= kWindow; ++i) {
+    history.push_back(static_cast<double>(i));
+  }
+  EXPECT_DOUBLE_EQ(predict_at(mean, history, 6),
+                   static_cast<double>(kWindow + 1) / 2.0);
 }
 
 TEST(MeanPredictorTest, EmptyHistoryFallsBackToCorpusMean) {

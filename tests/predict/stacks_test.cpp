@@ -156,9 +156,9 @@ TEST(MakeStackTest, GateBoundaryThresholdsAreValidOperatingPoints) {
 
 TEST(RccrStackTest, ConservativeBiasIsPositiveOnAverage) {
   util::Rng rng(23);
-  RccrStack::Options options;
-  options.stack.confidence_level = 0.9;
-  RccrStack stack(options);
+  StackConfig config;
+  config.confidence_level = 0.9;
+  RccrStack stack(config);
   const SeriesCorpus corpus = training_corpus(11);
   stack.train(corpus);
   // The confidence lower bound makes actual >= predicted on average.
@@ -166,8 +166,7 @@ TEST(RccrStackTest, ConservativeBiasIsPositiveOnAverage) {
 }
 
 TEST(CloudScaleStackTest, PaddingReducesPrediction) {
-  CloudScaleStack::Options options;
-  CloudScaleStack stack(options);
+  CloudScaleStack stack(StackConfig{});
   stack.train(training_corpus(13));
   // A volatile history produces a bigger burst padding than a flat one,
   // hence a lower (more damped) forecast.

@@ -201,8 +201,7 @@ TEST(CloudScaleSchedulerTest, ReprovisionTracksDemandHistory) {
 }
 
 TEST(CloudScaleSchedulerTest, ReprovisionClampedToRequestBand) {
-  CloudScaleSchedulerConfig config;
-  CloudScaleScheduler scheduler(config);
+  CloudScaleScheduler scheduler;
   scheduler.train({{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}});
   const Job job = make_job(1, 2.0, 2.0, 2.0);
   DemandHistory history;
@@ -212,8 +211,10 @@ TEST(CloudScaleSchedulerTest, ReprovisionClampedToRequestBand) {
   const ResourceVector target =
       scheduler.reprovision(job, history, job.request);
   for (std::size_t r = 0; r < kNumResources; ++r) {
-    EXPECT_LE(target[r], job.request[r] * config.max_fraction + 1e-9);
-    EXPECT_GE(target[r], job.request[r] * config.min_fraction - 1e-9);
+    EXPECT_LE(target[r],
+              job.request[r] * CloudScaleScheduler::kMaxFraction + 1e-9);
+    EXPECT_GE(target[r],
+              job.request[r] * CloudScaleScheduler::kMinFraction - 1e-9);
   }
 }
 

@@ -111,8 +111,8 @@ TEST(StreamReaderTest, ScalesByMachineConstantsWithRequestHeadroom) {
       EXPECT_EQ(job.usage[t][r], expected[r]) << "slot " << t;
     }
   }
-  EXPECT_EQ(config.request_headroom, 1.25);
-  const ResourceVector request = expected * config.request_headroom;
+  EXPECT_EQ(kRequestHeadroom, 1.25);
+  const ResourceVector request = expected * kRequestHeadroom;
   for (std::size_t r = 0; r < kNumResources; ++r) {
     EXPECT_EQ(job.request[r], request[r]) << "resource " << r;
   }
@@ -177,28 +177,28 @@ TEST(StreamReaderTest, SkippedWindowsAreGapFilled) {
   EXPECT_EQ(drop_reader.stats().jobs_dropped_long, 1u);
   EXPECT_EQ(drop_reader.take_ready().size(), 1u);  // task 6 survives
 
-  // Under kSegment with room for two windows per segment, the filled
-  // window materializes: three windows of usage survive in total.
+  // Under kSegment one coarse window already fills the 30-slot cap, so
+  // every window is emitted as its own segment the moment it arrives.
+  // Window 2 then finds no open window to repeat across the gap: nothing
+  // is filled, and only the two recorded windows of task 5 survive.
   StreamReaderConfig segment;
   segment.long_tasks = LongTaskPolicy::kSegment;
-  segment.google.max_duration_slots = 2 * kShortJobMaxSlots;
   const Trace trace = StreamReader::read_all(path, segment);
 
   StreamReader seg_reader(path, segment);
   while (seg_reader.advance()) {
   }
-  EXPECT_EQ(seg_reader.stats().gap_fills, 1u);
+  EXPECT_EQ(seg_reader.stats().gap_fills, 0u);
   EXPECT_GE(seg_reader.stats().jobs_segmented, 1u);
 
   std::size_t total_slots = 0;
   for (const Job& job : trace.jobs()) {
-    EXPECT_LE(job.duration_slots, 2 * kShortJobMaxSlots);
+    EXPECT_LE(job.duration_slots, kShortJobMaxSlots);
     total_slots += job.usage.size();
   }
-  // Task 5 = a two-window segment (interpolated to (2-1)*30+1 = 31 fine
-  // slots, window 1 being the fill) plus a one-window tail (30); task 6
-  // is one window (30).
-  EXPECT_EQ(total_slots, 3u * kShortJobMaxSlots + 1u);
+  // Task 5 = two one-window segments (30 fine slots each); task 6 is one
+  // window (30).
+  EXPECT_EQ(total_slots, 3u * kShortJobMaxSlots);
 }
 
 TEST(StreamReaderTest, LongTaskPolicyDropsOrSegments) {
@@ -380,12 +380,11 @@ TEST(StreamReaderTest, UnrecognizedDirectiveRejected) {
 }
 
 TEST(StreamReaderTest, OverlongLineRejected) {
-  StreamReaderConfig config;
-  config.max_line_bytes = 64;
   const std::string path = write_file(
       "stream_overlong.csv", "#corp-trace schema=google-v2\n" + kGoodRow +
-                                 std::string(200, '1') + "\n");
-  const std::string message = stream_error(path, config);
+                                 std::string(kMaxLineBytes + 200, '1') +
+                                 "\n");
+  const std::string message = stream_error(path, {});
   EXPECT_NE(message.find("line 3"), std::string::npos) << message;
   EXPECT_NE(message.find("max_line_bytes"), std::string::npos) << message;
 }

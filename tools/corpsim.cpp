@@ -4,16 +4,15 @@
 //   corpsim compare    run all four methods on the same workload
 //   corpsim replicate  multi-seed replication with confidence intervals
 //   corpsim trace-gen  synthesize a workload trace to CSV
+//   corpsim stats      summarize a synthetic workload
+//   corpsim backtest   walk-forward forecast scoring of one method's stack
 //   corpsim help       this text
 //
-// Common flags: --env cluster|ec2, --jobs N, --seed S, --threads T,
-//               --shards K (slot-engine shards; 0 = one per thread,
-//               bit-identical for every value),
-//               --workload paper-sweep|burst|trickle|heavy-tail|mixed-services,
-//               --aggressiveness A (0..1), --method corp|rccr|cloudscale|dra,
+// Common flags: --env cluster|ec2|slurm-het, --jobs N, --seed S,
 //               --metrics-out PATH (append obs snapshot as JSON lines),
-//               --metrics-csv PATH (write obs snapshot as flat CSV),
-//               --no-metrics 1 (disable collection)
+//               --no-metrics 1 (disable collection).
+// Each subcommand accepts only the flags it reads (known_flags below), so
+// a flag it would ignore is an error rather than a silent no-op.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -42,19 +41,24 @@ int usage() {
   std::cout <<
       R"(corpsim — CORP (CLUSTER 2016) reproduction driver
 
-subcommands:
-  run        --method corp|rccr|cloudscale|dra|pred-aware [--jobs N]
-             [--env cluster|ec2|slurm-het] [--workload KIND]
-             [--aggressiveness A] [--seed S] [--timeline out.csv]
+subcommands (every one accepts --env, --jobs, --seed, --metrics-out and
+--no-metrics; each accepts only the other flags listed for it):
+  run        --method corp|rccr|cloudscale|dra|pred-aware [--workload KIND]
+             [--aggressiveness A] [--timeline out.csv] [--trust L|auto]
              [--trace-file trace.csv --trace-schema google-v2|azure-vm]
              [--long-tasks drop|segment] [--chunk-kb K]
-  compare    like run, but all four methods side by side
-  replicate  --method M [--reps R] [--threads T] [--jobs N] ... adds
-             confidence intervals; replicas run in parallel on T threads
-             (0 = all cores) with bit-identical results to serial
-  trace-gen  --out trace.csv [--jobs N] [--workload KIND] [--seed S]
-  stats      [--jobs N --workload KIND --seed S]
-  backtest   --method M [--jobs N] ... walk-forward forecast scoring
+             + scaling and fault-injection flags
+  compare    [--workload KIND] [--aggressiveness A] — all four methods
+             side by side; + scaling and fault-injection flags
+  replicate  --method M [--reps R] [--aggressiveness A] [--trust L|auto]
+             + scaling and fault-injection flags; adds 95% confidence
+             intervals; replicas run in parallel on --threads T (0 = all
+             cores) with bit-identical results to serial. Replicas run
+             the figure harness's workload, so there is no --workload
+  trace-gen  --out trace.csv [--workload KIND]
+  stats      [--workload KIND]
+  backtest   --method M [--workload KIND] [--aggressiveness A] —
+             walk-forward forecast scoring
   help
 
 workload kinds: paper-sweep (default), burst, trickle, heavy-tail,
@@ -68,13 +72,15 @@ real traces (docs/traces.md): run accepts
   --long-tasks P       drop (default: paper's short-job filter) | segment
   --chunk-kb K         ingest chunk size in KiB (throughput knob; results
                        are bit-identical for every K)
-  VM crashes (--vm-mttf > 0) are rejected with --trace-file; the other
-  fault classes stream fine
+  the file supplies the jobs, so --workload, --jobs and --timeline are
+  rejected with --trace-file, and so are VM crashes (--vm-mttf > 0); the
+  other fault classes stream fine
 
 environments: cluster (Palmetto, default), ec2 (Amazon EC2),
               slurm-het (mixed node classes with a capped burst partition)
 
-scaling (docs/scaling.md): run/compare/replicate/backtest accept
+scaling (docs/scaling.md): run/compare/replicate accept
+  --threads T          worker threads (default 0 = all cores)
   --shards K           slot-engine shards (default 1; 0 = one shard per
                        worker thread); results are bit-identical for
                        every K, so this is purely a throughput knob
@@ -116,41 +122,53 @@ observability (docs/observability.md): any subcommand accepts
   --metrics-out PATH   append the run's metrics snapshot to PATH as one
                        JSON line (schema_version/run_id/phases/counters/
                        gauges/histograms)
-  --metrics-csv PATH   write the snapshot as flat CSV
-                       (run_id,kind,name,field,value)
   --no-metrics 1       disable metric collection entirely
 )";
   return 0;
 }
 
-/// Flags every subcommand understands.
-const std::vector<std::string> kCommonFlags{
-    "env",          "jobs",        "seed",
-    "threads",      "shards",      "workload",
-    "aggressiveness", "slot-clock", "predict-cadence",
-    "metrics-out",  "metrics-csv", "no-metrics",
-    "fault-intensity", "vm-mttf",  "vm-mttr",
-    "gap-rate",     "gap-mean",    "straggler-rate",
-    "straggler-factor", "predictor-fault-rate", "retry-budget"};
+/// Flags every subcommand reads.
+const std::vector<std::string> kCommonFlags{"env", "jobs", "seed",
+                                            "metrics-out", "no-metrics"};
 
-/// Known-flag list for one subcommand: the common set plus its extras.
+/// Slot-engine and fault-model flags, read by the subcommands that run
+/// simulations (run, compare, replicate).
+const std::vector<std::string> kSimulationFlags{
+    "threads",         "shards",         "slot-clock",
+    "predict-cadence", "fault-intensity", "vm-mttf",
+    "vm-mttr",         "gap-rate",       "gap-mean",
+    "straggler-rate",  "straggler-factor", "predictor-fault-rate",
+    "retry-budget"};
+
+/// Known-flag list for one subcommand: the common set plus exactly the
+/// flags it reads, so ArgParser rejects any flag it would ignore.
 /// Unknown subcommands get an empty optional (caller prints usage).
 std::optional<std::vector<std::string>> known_flags(
     const std::string& command) {
   std::vector<std::string> flags = kCommonFlags;
-  auto add = [&flags](std::initializer_list<const char*> extra) {
+  auto add = [&flags](std::initializer_list<const char*> extra,
+                      bool simulates) {
     flags.insert(flags.end(), extra.begin(), extra.end());
+    if (simulates) {
+      flags.insert(flags.end(), kSimulationFlags.begin(),
+                   kSimulationFlags.end());
+    }
     return flags;
   };
   if (command == "run") {
-    return add({"method", "trust", "timeline", "trace-file", "trace-schema",
-                "long-tasks", "chunk-kb"});
+    return add({"method", "trust", "workload", "aggressiveness", "timeline",
+                "trace-file", "trace-schema", "long-tasks", "chunk-kb"},
+               true);
   }
-  if (command == "compare") return add({});
-  if (command == "replicate") return add({"method", "trust", "reps"});
-  if (command == "trace-gen") return add({"out"});
-  if (command == "stats") return add({});
-  if (command == "backtest") return add({"method"});
+  if (command == "compare") return add({"workload", "aggressiveness"}, true);
+  if (command == "replicate") {
+    return add({"method", "trust", "reps", "aggressiveness"}, true);
+  }
+  if (command == "trace-gen") return add({"workload", "out"}, false);
+  if (command == "stats") return add({"workload"}, false);
+  if (command == "backtest") {
+    return add({"method", "workload", "aggressiveness"}, false);
+  }
   return std::nullopt;
 }
 
@@ -397,8 +415,8 @@ int run_trace_stream(const util::ArgParser& args, const RunSetup& setup,
     throw std::invalid_argument("unknown --long-tasks " + long_tasks +
                                 " (drop|segment)");
   }
-  const std::size_t chunk_kb = args.get_size(
-      "chunk-kb", setup.experiment.params.ingest_chunk_kb);
+  const std::size_t chunk_kb =
+      args.get_size("chunk-kb", stream.chunk_bytes / 1024);
   if (chunk_kb == 0) {
     throw std::invalid_argument("--chunk-kb must be >= 1");
   }
@@ -451,7 +469,18 @@ int run_trace_stream(const util::ArgParser& args, const RunSetup& setup,
 int cmd_run(const util::ArgParser& args) {
   const RunSetup setup = setup_from(args);
   const predict::Method method = method_arg(args);
-  if (args.has("trace-file")) return run_trace_stream(args, setup, method);
+  if (args.has("trace-file")) {
+    // The file supplies the jobs and the streamed run keeps no timeline:
+    // these flags would be silently ignored, so they are rejected before
+    // the file is opened.
+    for (const char* flag : {"workload", "jobs", "timeline"}) {
+      if (args.has(flag)) {
+        throw std::invalid_argument("--" + std::string(flag) +
+                                    " does not apply to --trace-file");
+      }
+    }
+    return run_trace_stream(args, setup, method);
+  }
   std::cout << "running " << predict::method_name(method) << " on "
             << sim::workload_name(setup.workload) << " (" << setup.jobs
             << " jobs, " << setup.experiment.environment.name << ")\n";
@@ -478,9 +507,9 @@ int cmd_compare(const util::ArgParser& args) {
 int cmd_replicate(const util::ArgParser& args) {
   const RunSetup setup = setup_from(args);
   const predict::Method method = method_arg(args);
-  sim::ReplicationConfig replication =
-      setup.experiment.params.replication_config();
+  sim::ReplicationConfig replication;
   replication.replications = args.get_size("reps", replication.replications);
+  replication.threads = setup.experiment.params.threads;
   std::cout << "replicating " << predict::method_name(method) << " x"
             << replication.replications << " (" << setup.jobs
             << " jobs)\n";
@@ -581,24 +610,16 @@ int dispatch(const std::string& command, const util::ArgParser& args) {
 }
 
 /// Exports the accumulated snapshot after a successful subcommand when
-/// --metrics-out / --metrics-csv were given.
+/// --metrics-out was given.
 void export_metrics(const std::string& command,
                     const util::ArgParser& args) {
   const std::string jsonl_path = args.get("metrics-out", "");
-  const std::string csv_path = args.get("metrics-csv", "");
-  if (jsonl_path.empty() && csv_path.empty()) return;
+  if (jsonl_path.empty()) return;
   const std::string run_id =
       "corpsim-" + command + "-seed" +
       std::to_string(args.get_int("seed", 7));
-  const obs::MetricsSnapshot snapshot = obs::registry().snapshot();
-  if (!jsonl_path.empty()) {
-    obs::append_jsonl(jsonl_path, snapshot, run_id);
-    std::cout << "metrics appended to " << jsonl_path << '\n';
-  }
-  if (!csv_path.empty()) {
-    obs::write_csv_file(csv_path, snapshot, run_id);
-    std::cout << "metrics written to " << csv_path << '\n';
-  }
+  obs::append_jsonl(jsonl_path, obs::registry().snapshot(), run_id);
+  std::cout << "metrics appended to " << jsonl_path << '\n';
 }
 
 }  // namespace
