@@ -55,7 +55,6 @@ void PredictorHealthMonitor::demote() {
   window_faults_ = 0;
   healthy_streak_ = 0;
   obs::count("degrade.demotions");
-  obs::set_gauge("degrade.tier", static_cast<double>(tier_));
 }
 
 void PredictorHealthMonitor::promote() {
@@ -65,7 +64,6 @@ void PredictorHealthMonitor::promote() {
   ++promotions_;
   healthy_streak_ = 0;
   obs::count("degrade.promotions");
-  obs::set_gauge("degrade.tier", static_cast<double>(tier_));
 }
 
 void PredictorHealthMonitor::reset() {

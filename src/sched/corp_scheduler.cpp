@@ -1,8 +1,12 @@
 #include "sched/corp_scheduler.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -13,34 +17,130 @@ namespace corp::sched {
 
 namespace {
 
-/// Eq. 22 selection with uniform tie-breaking: when several feasible
-/// candidates share the exactly-smallest unused volume, one of them is
-/// picked uniformly from `rng` (one draw per tied selection). With
-/// rng == nullptr this is plain most_matched (first candidate wins).
-std::optional<std::size_t> most_matched_tiebreak(
-    std::span<const VmAvailability> candidates, const ResourceVector& demand,
-    const ResourceVector& max_capacity, util::Rng* rng,
-    obs::Counter* tie_counter) {
-  const auto best = most_matched(candidates, demand, max_capacity);
-  if (!best.has_value() || rng == nullptr) return best;
-  const double best_volume =
-      unused_volume(candidates[*best].available, max_capacity);
-  std::vector<std::size_t> ties;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (!demand.fits_within(candidates[i].available)) continue;
-    if (unused_volume(candidates[i].available, max_capacity) == best_volume) {
-      ties.push_back(i);
+constexpr double kNotIndexed = std::numeric_limits<double>::quiet_NaN();
+
+}  // namespace
+
+// --- Candidates --------------------------------------------------------------
+
+std::optional<VolumeIndex::Entry> CorpScheduler::Candidates::view_entry(
+    const VmView& vm, std::uint32_t position,
+    const ResourceVector& max_cap) const {
+  if (!(pool_ ? vm.unlocked : vm.accepts_reserved)) return std::nullopt;
+  return make_entry(available(vm), position, max_cap, 0);
+}
+
+std::optional<VolumeIndex::Entry> CorpScheduler::Candidates::make_entry(
+    const ResourceVector& available, std::uint32_t position,
+    const ResourceVector& max_cap, std::uint32_t tag) {
+  const double volume = unused_volume(available, max_cap);
+  // A scan keeping the first strict minimum below +inf never picks a NaN
+  // or +inf volume, so neither is indexed.
+  if (!(volume < std::numeric_limits<double>::infinity())) {
+    return std::nullopt;
+  }
+  return VolumeIndex::Entry{volume, position, tag};
+}
+
+template <typename Positions>
+void CorpScheduler::Candidates::reindex(std::span<const VmView> vms,
+                                        const ResourceVector& max_cap,
+                                        const Positions& positions) {
+  std::vector<VolumeIndex::Entry> entries;
+  for (const std::uint32_t p : positions) {
+    key_[p] = kNotIndexed;
+    if (const auto e = view_entry(vms[p], p, max_cap)) {
+      entries.push_back(*e);
+      key_[p] = e->volume;
     }
   }
-  if (ties.size() <= 1) return best;
+  index_.assign(std::move(entries));
+}
+
+void CorpScheduler::Candidates::rebuild(std::span<const VmView> vms,
+                                        const ResourceVector& max_cap,
+                                        double scale) {
+  scale_ = scale;
+  key_.assign(vms.size(), kNotIndexed);
+  reindex(vms, max_cap,
+          std::views::iota(std::uint32_t{0},
+                           static_cast<std::uint32_t>(vms.size())));
+  current_ = true;
+}
+
+void CorpScheduler::Candidates::rescale(std::span<const VmView> vms,
+                                        const ResourceVector& max_cap,
+                                        double scale) {
+  scale_ = scale;
+  std::vector<std::uint32_t> positions;
+  positions.reserve(index_.size());
+  index_.for_each([&](const VolumeIndex::Entry& e) {
+    positions.push_back(e.position);
+  });
+  reindex(vms, max_cap, positions);
+}
+
+void CorpScheduler::Candidates::refresh(
+    std::span<const VmView> vms, const ResourceVector& max_cap,
+    std::span<const std::uint32_t> positions) {
+  for (const std::uint32_t p : positions) {
+    set(p, view_entry(vms[p], p, max_cap));
+  }
+}
+
+void CorpScheduler::Candidates::set(
+    std::uint32_t position, const std::optional<VolumeIndex::Entry>& entry) {
+  double& key = key_[position];
+  if (!std::isnan(key)) index_.erase(key, position);
+  key = kNotIndexed;
+  if (!entry.has_value()) return;
+  index_.insert(*entry);
+  key = entry->volume;
+}
+
+std::optional<VolumeIndex::Entry> CorpScheduler::Candidates::most_matched(
+    std::span<const VmView> vms, const ResourceVector& demand,
+    const ResourceVector& max_cap, util::Rng* rng,
+    obs::Counter* tie_counter) {
+  index_.most_matched(
+      demand, max_cap,
+      [&](const VolumeIndex::Entry& entry) { return available(vms, entry); },
+      /*all_ties=*/rng != nullptr, ties_);
+  if (ties_.empty()) return std::nullopt;
+  if (ties_.size() == 1) return ties_.front();
   if (tie_counter != nullptr) tie_counter->add(1);
   const double pick = rng->uniform(0.0, 1.0);
   const auto idx = static_cast<std::size_t>(
-      std::clamp(pick, 0.0, 1.0 - 1e-12) * static_cast<double>(ties.size()));
-  return ties[std::min(idx, ties.size() - 1)];
+      std::clamp(pick, 0.0, 1.0 - 1e-12) * static_cast<double>(ties_.size()));
+  return ties_[std::min(idx, ties_.size() - 1)];
 }
 
-}  // namespace
+void CorpScheduler::Candidates::consume(std::span<const VmView> vms,
+                                        const ResourceVector& max_cap,
+                                        const VolumeIndex::Entry& entry,
+                                        const ResourceVector& amount) {
+  ResourceVector left = available(vms, entry);
+  left -= amount;
+  left = left.clamped_non_negative();
+  std::uint32_t tag = entry.tag;
+  if (tag == 0) {
+    tentative_.push_back(left);
+    touched_.push_back(entry.position);
+    tag = static_cast<std::uint32_t>(tentative_.size());
+  } else {
+    tentative_[tag - 1] = left;
+  }
+  set(entry.position, make_entry(left, entry.position, max_cap, tag));
+}
+
+void CorpScheduler::Candidates::restore(std::span<const VmView> vms,
+                                        const ResourceVector& max_cap) {
+  refresh(vms, max_cap, touched_);
+  tentative_.clear();
+  touched_.clear();
+}
+
+// --- CorpScheduler -------------------------------------------------------------
 
 CorpScheduler::CorpScheduler(CorpSchedulerConfig config, Method method,
                              double trust, bool adaptive, std::uint64_t seed)
@@ -55,7 +155,12 @@ std::vector<PlacementDecision> CorpScheduler::place(
     const std::vector<const Job*>& batch, const SchedulerContext& ctx) {
   const obs::ScopedTimer timer("sched.place");
   std::vector<PlacementDecision> decisions;
-  if (batch.empty()) return decisions;
+  if (batch.empty()) {
+    // This call's changed views are not applied: rebuild on the next.
+    pool_.invalidate();
+    fresh_.invalidate();
+    return decisions;
+  }
 
   if (adaptive_) {
     lambda_ = controller_.update(ctx.trust != nullptr ? *ctx.trust
@@ -93,22 +198,10 @@ std::vector<PlacementDecision> CorpScheduler::place(
     }
   }
 
-  // Tentative availability copies: placements within the batch consume
-  // from these so the batch cannot oversubscribe a snapshot.
-  std::vector<VmAvailability> pool;   // λ-scaled unlocked predicted-unused
-  std::vector<VmAvailability> fresh;  // unallocated, admission-capped
-  pool.reserve(ctx.vms.size());
-  fresh.reserve(ctx.vms.size());
-  for (const VmView& vm : ctx.vms) {
-    if (opportunistic && vm.unlocked) {
-      pool.push_back({vm.vm_id, vm.predicted_unused * pool_scale});
-    }
-    // Partition admission caps gate *new* reservations only; the
-    // opportunistic pool above stays available on capped partitions.
-    if (vm.accepts_reserved) {
-      fresh.push_back({vm.vm_id, vm.unallocated});
-    }
-  }
+  // Index upkeep belongs to the placement: it runs inside this call, so
+  // the engine's place timer (alloc latency, Fig. 10) counts it.
+  sync(ctx, pool_scale, opportunistic);
+  const ResourceVector& max_cap = ctx.max_vm_capacity;
 
   // Stochastic tie-breaking engages only at interior trust. Fresh
   // reservations keep the deterministic first-candidate rule at every λ:
@@ -123,16 +216,14 @@ std::vector<PlacementDecision> CorpScheduler::place(
 
     if (opportunistic) {
       const ResourceVector carve = entity.demand * carve_sizing;
-      const auto slot = most_matched_tiebreak(pool, carve, ctx.max_vm_capacity,
-                                              tie_rng, m_ties);
-      if (slot.has_value()) {
-        VmAvailability& vm = pool[*slot];
-        decision.vm_id = vm.vm_id;
+      const auto pick =
+          pool_.most_matched(ctx.vms, carve, max_cap, tie_rng, m_ties);
+      if (pick.has_value()) {
+        decision.vm_id = ctx.vms[pick->position].vm_id;
         decision.kind = AllocationKind::kOpportunistic;
         decision.allocated = carve;
         decision.request_fraction = carve_sizing;
-        vm.available -= carve;
-        vm.available = vm.available.clamped_non_negative();
+        pool_.consume(ctx.vms, max_cap, *pick, carve);
         decisions.push_back(std::move(decision));
         if (m_opp_grants != nullptr) m_opp_grants->add(1);
         continue;
@@ -140,20 +231,53 @@ std::vector<PlacementDecision> CorpScheduler::place(
       if (m_opp_fallbacks != nullptr) m_opp_fallbacks->add(1);
     }
 
-    const auto slot = most_matched(fresh, entity.demand, ctx.max_vm_capacity);
-    if (slot.has_value()) {
-      VmAvailability& vm = fresh[*slot];
-      decision.vm_id = vm.vm_id;
+    const auto pick =
+        fresh_.most_matched(ctx.vms, entity.demand, max_cap, nullptr, nullptr);
+    if (pick.has_value()) {
+      decision.vm_id = ctx.vms[pick->position].vm_id;
       decision.kind = AllocationKind::kReserved;
-      vm.available -= entity.demand;
-      vm.available = vm.available.clamped_non_negative();
+      fresh_.consume(ctx.vms, max_cap, *pick, entity.demand);
       decisions.push_back(std::move(decision));
     } else if (m_unplaced != nullptr) {
       // Unplaced; the simulator re-queues the entity's jobs.
       m_unplaced->add(1);
     }
   }
+  // The batch's tentative consumption ends with the call: the next call's
+  // views carry whatever the engine actually committed.
+  pool_.restore(ctx.vms, max_cap);
+  fresh_.restore(ctx.vms, max_cap);
   return decisions;
+}
+
+void CorpScheduler::sync(const SchedulerContext& ctx, double pool_scale,
+                         bool opportunistic) {
+  const std::span<const VmView> vms = ctx.vms;
+  const ResourceVector& max_cap = ctx.max_vm_capacity;
+  if (ctx.changed_vms == nullptr || vms.size() != indexed_vms_ ||
+      !(max_cap == indexed_capacity_)) {
+    pool_.invalidate();
+    fresh_.invalidate();
+    indexed_vms_ = vms.size();
+    indexed_capacity_ = max_cap;
+  }
+  if (fresh_.current()) {
+    fresh_.refresh(vms, max_cap, *ctx.changed_vms);
+  } else {
+    fresh_.rebuild(vms, max_cap, 1.0);
+  }
+  if (!opportunistic) {
+    // Not consulted this call, so this call's changes are not applied.
+    pool_.invalidate();
+    return;
+  }
+  if (!pool_.current()) {
+    pool_.rebuild(vms, max_cap, pool_scale);
+    return;
+  }
+  // Adaptive λ moves the scale: every entry's key moves with it.
+  if (pool_scale != pool_.scale()) pool_.rescale(vms, max_cap, pool_scale);
+  pool_.refresh(vms, max_cap, *ctx.changed_vms);
 }
 
 }  // namespace corp::sched

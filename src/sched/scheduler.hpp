@@ -35,21 +35,24 @@ enum class AllocationKind : std::uint8_t {
   kOpportunistic = 1,
 };
 
-/// Per-VM availability snapshot handed to place().
+/// Per-VM availability snapshot handed to place(). The two flags sit
+/// beside `vm_id`, in what would otherwise be padding: the engine keeps
+/// one view per VM, 56 bytes each.
 struct VmView {
   std::uint32_t vm_id = 0;
-  /// Predicted temporarily-unused resource, aggregated over the VM's
-  /// reserved jobs (zero when the method does not predict).
-  ResourceVector predicted_unused;
   /// Eq. 21 gate: is the predicted unused resource reallocatable?
   bool unlocked = false;
-  /// capacity - committed.
-  ResourceVector unallocated;
   /// Whether this VM may host *new* reserved jobs this slot. False when
   /// the VM's partition is at its max_reserved_jobs admission cap.
   /// Opportunistic placement is always allowed.
   bool accepts_reserved = true;
+  /// Predicted temporarily-unused resource, aggregated over the VM's
+  /// reserved jobs (zero when the method does not predict).
+  ResourceVector predicted_unused;
+  /// capacity - committed.
+  ResourceVector unallocated;
 };
+static_assert(sizeof(VmView) == 56, "VmView must stay packed");
 
 struct TrustSignals;
 
@@ -61,6 +64,12 @@ struct SchedulerContext {
   /// Predictor-health snapshot for trust-adaptive schedulers (sched/
   /// trust.hpp); null for methods that do not consume it.
   const TrustSignals* trust = nullptr;
+  /// Ascending positions in `vms` whose view may differ from the one the
+  /// previous place() call on this scheduler saw; every other view is
+  /// unchanged. Null means every view is new (the first placement of a
+  /// run, and any caller that does not track changes). Schedulers that
+  /// keep no state between calls ignore it.
+  const std::vector<std::uint32_t>* changed_vms = nullptr;
 };
 
 /// One placement produced by place().

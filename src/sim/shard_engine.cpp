@@ -1,11 +1,15 @@
 #include "sim/shard_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <ranges>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -121,6 +125,11 @@ struct Shard {
   std::size_t gaps = 0;
   std::size_t promotions = 0;
   std::size_t preemptions = 0;
+  // --- incremental views (build_views) ---------------------------------
+  // VMs whose view may differ from the last build's: every VM that hosted
+  // a job at it, and every VM whose ledger moved since (repeats allowed).
+  std::vector<std::uint32_t> dirty;
+  std::vector<std::uint32_t> changed;  // this build's, sorted unique
 };
 
 /// K-way sorted gather: visits (shard, index) pairs in ascending seq
@@ -249,12 +258,13 @@ struct RunState {
   // Merged per-slot sample buffer (global seq order), reused across slots.
   std::vector<cluster::AllocationSample> slot_samples{};
 
-  // Scheduler view table, allocated once: at 100k VMs a fresh
-  // zero-initialized vector every placement slot is a serial multi-MB
-  // construction before any shard can start filling. Each shard fully
-  // overwrites its own slice in build_views, so reuse is safe.
+  // Scheduler view table, allocated once and kept current across
+  // placement slots: build_views rewrites only the views that can have
+  // changed and hands their positions to the scheduler.
   std::vector<sched::VmView> views =
       std::vector<sched::VmView>(cluster.num_vms());
+  std::vector<std::uint32_t> changed_vms{};
+  bool views_built = false;
 
   // Heterogeneous partition admission caps: active only when some node
   // class limits its concurrently reserved jobs. Counts are recomputed
@@ -339,6 +349,13 @@ struct RunState {
     return weighted_capacity > 0.0 ? committed / weighted_capacity : 0.0;
   }
 
+  // Records that a VM's reservation ledger moved (commit, release, crash,
+  // recover), so the next build_views rebuilds its view. Serial phases
+  // only; complete() appends to its own shard's list.
+  void ledger_changed(std::uint32_t vm_id) {
+    shards[plan.shard_of(vm_id)].dirty.push_back(vm_id);
+  }
+
   // --- 0. fault transitions and retry release -------------------------
   // Serial: crashes are rare, and each transition touches exactly one
   // VM's shard block (stable compaction keeps the roster seq-sorted, so
@@ -347,6 +364,7 @@ struct RunState {
     if (!faults_on) return;
     for (const fault::VmTransition& tr : injector.transitions_at(t)) {
       auto& vm = cluster.vm(tr.vm_id);
+      ledger_changed(tr.vm_id);
       if (tr.up) {
         vm.recover();
         ++result.vm_recoveries;
@@ -398,85 +416,177 @@ struct RunState {
   void admit_arrivals(std::int64_t t) { source.poll(t, queue); }
 
   // --- 2. VM views (placement slots only) -----------------------------
-  // Candidate collection and gate evaluation fan out per shard: each
-  // worker fills its own contiguous slice of the view table from its own
-  // VM block and job roster. Unallocated is read from the ledger;
-  // predicted unused is the sum of the per-job cached forecasts over
-  // reserved tenants. Every slice element is reset, so nothing from the
-  // previous slot can leak through.
-  void build_views() {
-    const bool unlocked = opportunistic_method && predictor.unlocked();
-    for_each_shard([&](std::size_t s) {
-      Shard& shard = shards[s];
-      for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
-        views[v] = sched::VmView{};
-        views[v].vm_id = cluster.vm(v).id();
-        views[v].unallocated = cluster.vm(v).unallocated();
-      }
-      if (partition_caps) {
+  // A VM's view is a function of its ledger, the jobs it hosts, its
+  // partition's admission flag and the predictor's gate, so only views
+  // that can differ from the previous build are rebuilt: VMs hosting a
+  // job now or at the previous build (forecasts move every slot, and a
+  // departed tenant's share must go), VMs whose ledger moved since, and
+  // every VM of a partition whose admission flag flipped. A run's first
+  // build rebuilds every view. Each shard rebuilds its own slice with
+  // rebuild_views. Returns the sorted changed positions for
+  // SchedulerContext::changed_vms, or null on the first build (every view
+  // is new).
+  const std::vector<std::uint32_t>* build_views() {
+    std::vector<std::uint8_t> flipped(num_partitions, 0);
+    if (partition_caps) {
+      for_each_shard([&](std::size_t s) {
+        Shard& shard = shards[s];
         shard.partition_reserved.assign(num_partitions, 0);
         for (const RunningJob& rj : shard.jobs) {
           if (rj.kind == sched::AllocationKind::kReserved) {
             ++shard.partition_reserved[cluster.vm_partition(rj.vm_id)];
           }
         }
-      }
-      if (!opportunistic_method) return;
-      for (const RunningJob& rj : shard.jobs) {
-        if (rj.kind == sched::AllocationKind::kReserved) {
-          if (rj.has_cached_prediction) {
-            views[rj.vm_id].predicted_unused += rj.cached_prediction;
-          }
-        } else {
-          // Tenants already riding this VM's unused pool consume it:
-          // without this subtraction the same pool would be pledged to
-          // new tenants every slot until the donors starve.
-          views[rj.vm_id].predicted_unused -= rj.allocated;
+      });
+      // Serial merge (commutative integer adds) of which partitions
+      // still admit reservations.
+      std::fill(partition_reserved.begin(), partition_reserved.end(),
+                std::size_t{0});
+      for (const Shard& shard : shards) {
+        for (std::size_t p = 0; p < num_partitions; ++p) {
+          partition_reserved[p] += shard.partition_reserved[p];
         }
       }
-      for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
-        sched::VmView& view = views[v];
-        view.predicted_unused = view.predicted_unused.clamped_non_negative();
-        // Predicted unused can never exceed what is committed.
-        view.predicted_unused = ResourceVector::min(
-            view.predicted_unused, cluster.vm(view.vm_id).committed());
-        view.unlocked = unlocked && view.predicted_unused.total() > 0.0;
-      }
-    });
-    if (!partition_caps) return;
-    // Serial merge (commutative integer adds), then advertise which
-    // partitions still admit reservations via the views.
-    std::fill(partition_reserved.begin(), partition_reserved.end(),
-              std::size_t{0});
-    for (const Shard& shard : shards) {
       for (std::size_t p = 0; p < num_partitions; ++p) {
-        partition_reserved[p] += shard.partition_reserved[p];
+        const std::size_t cap = cluster.partition_reserved_cap(p);
+        const auto open =
+            static_cast<std::uint8_t>(cap == 0 || partition_reserved[p] < cap);
+        flipped[p] = static_cast<std::uint8_t>(open != partition_open[p]);
+        partition_open[p] = open;
       }
     }
-    for (std::size_t p = 0; p < num_partitions; ++p) {
-      const std::size_t cap = cluster.partition_reserved_cap(p);
-      partition_open[p] =
-          static_cast<std::uint8_t>(cap == 0 || partition_reserved[p] < cap);
-    }
+    const bool any_flipped =
+        std::find(flipped.begin(), flipped.end(), 1) != flipped.end();
+    const bool first = !views_built;
+    views_built = true;
     for_each_shard([&](std::size_t s) {
-      const Shard& shard = shards[s];
-      for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
-        views[v].accepts_reserved =
-            partition_open[cluster.vm_partition(v)] != 0;
+      Shard& shard = shards[s];
+      shard.changed.clear();
+      if (first) {
+        rebuild_views(shard, std::views::iota(shard.vms.begin, shard.vms.end),
+                      views);
+      } else {
+        shard.changed.assign(shard.dirty.begin(), shard.dirty.end());
+        for (const RunningJob& rj : shard.jobs) {
+          shard.changed.push_back(rj.vm_id);
+        }
+        if (any_flipped) {
+          for (std::uint32_t v = shard.vms.begin; v < shard.vms.end; ++v) {
+            if (flipped[cluster.vm_partition(v)] != 0) {
+              shard.changed.push_back(v);
+            }
+          }
+        }
+        std::sort(shard.changed.begin(), shard.changed.end());
+        shard.changed.erase(
+            std::unique(shard.changed.begin(), shard.changed.end()),
+            shard.changed.end());
+        rebuild_views(shard, shard.changed, views);
       }
+      // A VM hosting a job now has a view the next build must revisit
+      // (its forecasts move, or its last tenant leaves).
+      shard.dirty.clear();
+      for (const RunningJob& rj : shard.jobs) shard.dirty.push_back(rj.vm_id);
     });
+#ifndef NDEBUG
+    check_views();
+#endif
+    if (first) return nullptr;
+    // Shards own ascending contiguous VM blocks, so the concatenation of
+    // their sorted lists is sorted.
+    changed_vms.clear();
+    for (const Shard& shard : shards) {
+      changed_vms.insert(changed_vms.end(), shard.changed.begin(),
+                         shard.changed.end());
+    }
+    return &changed_vms;
   }
+
+  // Rebuilds the views of `vms` (ascending, all in `shard`, covering
+  // every VM that hosts one of its jobs) into `out`. Unallocated is read
+  // from the ledger; predicted unused is the sum of the per-job cached
+  // forecasts over reserved tenants, accumulated in roster seq order;
+  // the admission flag is the partition's as of this build.
+  template <typename Positions>
+  void rebuild_views(const Shard& shard, const Positions& vms,
+                     std::vector<sched::VmView>& out) const {
+    const bool unlocked = opportunistic_method && predictor.unlocked();
+    for (const std::uint32_t v : vms) {
+      out[v] = sched::VmView{};
+      out[v].vm_id = cluster.vm(v).id();
+      out[v].unallocated = cluster.vm(v).unallocated();
+      if (partition_caps) {
+        out[v].accepts_reserved = partition_open[cluster.vm_partition(v)] != 0;
+      }
+    }
+    if (!opportunistic_method) return;
+    for (const RunningJob& rj : shard.jobs) {
+      if (rj.kind == sched::AllocationKind::kReserved) {
+        if (rj.has_cached_prediction) {
+          out[rj.vm_id].predicted_unused += rj.cached_prediction;
+        }
+      } else {
+        // Tenants already riding this VM's unused pool consume it:
+        // without this subtraction the same pool would be pledged to
+        // new tenants every slot until the donors starve.
+        out[rj.vm_id].predicted_unused -= rj.allocated;
+      }
+    }
+    for (const std::uint32_t v : vms) {
+      sched::VmView& view = out[v];
+      view.predicted_unused = view.predicted_unused.clamped_non_negative();
+      // Predicted unused can never exceed what is committed.
+      view.predicted_unused = ResourceVector::min(
+          view.predicted_unused, cluster.vm(view.vm_id).committed());
+      view.unlocked = unlocked && view.predicted_unused.total() > 0.0;
+    }
+  }
+
+#ifndef NDEBUG
+  // Debug builds: the incremental views must equal a full rebuild of
+  // every view, bit for bit.
+  void check_views() const {
+    std::vector<sched::VmView> full(views.size());
+    for (const Shard& shard : shards) {
+      rebuild_views(shard, std::views::iota(shard.vms.begin, shard.vms.end),
+                    full);
+    }
+    const auto same_bits = [](const ResourceVector& a,
+                              const ResourceVector& b) {
+      for (std::size_t r = 0; r < kNumResources; ++r) {
+        if (std::bit_cast<std::uint64_t>(a[r]) !=
+            std::bit_cast<std::uint64_t>(b[r])) {
+          return false;
+        }
+      }
+      return true;
+    };
+    for (std::size_t v = 0; v < views.size(); ++v) {
+      const sched::VmView& a = views[v];
+      const sched::VmView& b = full[v];
+      if (a.vm_id != b.vm_id || a.unlocked != b.unlocked ||
+          a.accepts_reserved != b.accepts_reserved ||
+          !same_bits(a.predicted_unused, b.predicted_unused) ||
+          !same_bits(a.unallocated, b.unallocated)) {
+        throw std::logic_error("build_views: incremental view of VM " +
+                               std::to_string(v) +
+                               " differs from a full rebuild");
+      }
+    }
+  }
+#endif
 
   // --- 3. placement (placement slots only) ----------------------------
   // The decision itself stays centralized, slurmctld-style: the
   // scheduler sees every VM view and its decisions apply serially.
-  void place() {
+  void place(const std::vector<std::uint32_t>* changed) {
     std::vector<const Job*> batch;
     batch.swap(queue);
     sched::SchedulerContext ctx;
     ctx.vms = views;
     ctx.max_vm_capacity = max_vm_capacity;
     ctx.rng = &rng;
+    ctx.changed_vms = changed;
 
     // Predictor-health snapshot for trust-adaptive scheduling. Sampled
     // in the serial centralized placement step from state that is
@@ -526,6 +636,7 @@ struct RunState {
         const ResourceVector amount =
             ResourceVector::min(decision.allocated, vm.unallocated());
         vm.commit(amount);
+        ledger_changed(decision.vm_id);
         ++result.reserved_placements;
       } else {
         ++result.opportunistic_placements;
@@ -715,6 +826,7 @@ struct RunState {
           auto& vm = cluster.vm(rj.vm_id);
           if (vm.can_commit(rj.allocated)) {
             vm.commit(rj.allocated);
+            shard.dirty.push_back(rj.vm_id);
             rj.kind = sched::AllocationKind::kReserved;
             rj.starved_slots = 0;
             ++shard.promotions;
@@ -730,6 +842,7 @@ struct RunState {
               {rj.seq, SlotEvent::Kind::kComplete, rj.job});
           if (rj.kind == sched::AllocationKind::kReserved) {
             cluster.vm(rj.vm_id).release(rj.allocated);
+            shard.dirty.push_back(rj.vm_id);
           }
           keep = false;
         }
@@ -915,6 +1028,7 @@ struct RunState {
           ResourceVector::min(grow, vm.unallocated());
       vm.commit(granted_grow);
       vm.release(shrink);
+      ledger_changed(rj.vm_id);
       rj.allocated += granted_grow;
       rj.allocated -= shrink;
       rj.allocated = rj.allocated.clamped_non_negative();
@@ -1082,8 +1196,7 @@ SimulationResult ShardEngine::run(JobSource& source) {
     state.release_faults_and_retries(t);
     state.admit_arrivals(t);
     if (!state.queue.empty()) {
-      state.build_views();
-      state.place();
+      state.place(state.build_views());
     }
     state.execute(t);
     state.complete(t);

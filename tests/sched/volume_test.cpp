@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace corp::sched {
@@ -25,6 +27,27 @@ TEST(VolumeTest, ZeroCapacityComponentSkipped) {
       1.0);
 }
 
+/// The VolumeIndex's most-matched pick over `vms` (view position = list
+/// index), as CorpScheduler queries it.
+std::optional<std::size_t> index_pick(const std::vector<VmAvailability>& vms,
+                                      const ResourceVector& demand,
+                                      const ResourceVector& max_cap) {
+  std::vector<VolumeIndex::Entry> entries;
+  for (std::size_t i = 0; i < vms.size(); ++i) {
+    entries.push_back({unused_volume(vms[i].available, max_cap),
+                       static_cast<std::uint32_t>(i), 0});
+  }
+  VolumeIndex index;
+  index.assign(entries);
+  std::vector<VolumeIndex::Entry> fits;
+  index.most_matched(
+      demand, max_cap,
+      [&](const VolumeIndex::Entry& e) { return vms[e.position].available; },
+      /*all_ties=*/false, fits);
+  if (fits.empty()) return std::nullopt;
+  return fits.front().position;
+}
+
 std::vector<VmAvailability> paper_vms() {
   // The Fig. 5 walk-through: four VMs with the listed unused vectors.
   return {{1, ResourceVector(5, 0, 20)},
@@ -38,7 +61,7 @@ TEST(MostMatchedTest, ReproducesPaperEntityPlacement) {
   // Entity (job3, job4) demand: feasible on VM2 and VM3 only; VM2's
   // volume (1.233) < VM3's (2.8) -> pick VM2 (index 1).
   const ResourceVector entity_34(8, 1, 9);
-  const auto pick = most_matched(paper_vms(), entity_34, max_cap);
+  const auto pick = index_pick(paper_vms(), entity_34, max_cap);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(paper_vms()[*pick].vm_id, 2u);
 }
@@ -48,7 +71,7 @@ TEST(MostMatchedTest, SecondEntityPrefersVm4) {
   // Entity (job5, job6): feasible on VM2, VM3, VM4; VM4's volume is the
   // smallest (1.183 < 1.233 < 2.8).
   const ResourceVector entity_56(9, 1, 8);
-  const auto pick = most_matched(paper_vms(), entity_56, max_cap);
+  const auto pick = index_pick(paper_vms(), entity_56, max_cap);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(paper_vms()[*pick].vm_id, 4u);
 }
@@ -56,14 +79,14 @@ TEST(MostMatchedTest, SecondEntityPrefersVm4) {
 TEST(MostMatchedTest, InfeasibleEverywhereReturnsNull) {
   const ResourceVector max_cap(25, 2, 30);
   EXPECT_FALSE(
-      most_matched(paper_vms(), ResourceVector(100, 1, 1), max_cap)
+      index_pick(paper_vms(), ResourceVector(100, 1, 1), max_cap)
           .has_value());
 }
 
 TEST(MostMatchedTest, EmptyCandidates) {
-  EXPECT_FALSE(most_matched({}, ResourceVector(1, 1, 1),
-                            ResourceVector(10, 10, 10))
-                   .has_value());
+  EXPECT_FALSE(
+      index_pick({}, ResourceVector(1, 1, 1), ResourceVector(10, 10, 10))
+          .has_value());
 }
 
 TEST(RandomFeasibleTest, OnlyPicksFeasible) {
