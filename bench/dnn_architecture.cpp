@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
     net_config.hidden_layers = arch.layers;
     net_config.hidden_units = arch.units;
     dnn::Network net(net_config, rng);
-    dnn::SgdOptimizer opt(0.05);
     dnn::TrainerConfig trainer_config;
     trainer_config.max_epochs = 25;
     trainer_config.patience = 3;
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
     dnn::Trainer trainer(trainer_config, rng);
 
     const auto t0 = Clock::now();
-    const dnn::TrainReport report = trainer.fit(net, opt, data);
+    const dnn::TrainReport report = trainer.fit(net, 0.05, data);
     const double train_ms = ms_since(t0);
 
     const std::vector<double> probe(12, 0.5);

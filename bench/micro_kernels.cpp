@@ -2,9 +2,11 @@
 // budget of Figs. 10/14, centred on the batched prediction engine: the
 // same trained DNN is timed one row at a time (the pre-batching call
 // pattern) and through predict_batch's blocked GEMM at the batch sizes
-// the simulator actually gathers, alongside the raw Matrix kernels and
-// the baseline predictors. Every batched result is checked bit-identical
-// to the scalar sweep before it is timed.
+// the simulator actually gathers, alongside the raw Matrix kernels, one
+// per-sample SGD training step (bench.dnn_sgd_step, microseconds per step
+// in the bench.dnn_sgd_step_us gauge) and the baseline predictors. Every
+// batched result is checked bit-identical to the scalar sweep before it
+// is timed.
 //
 // Emits the standard bench JSON record (schema in docs/observability.md)
 // with the obs snapshot nested, so the CI bench-smoke job can assert the
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "dnn/matrix.hpp"
+#include "dnn/network.hpp"
 #include "figure_common.hpp"
 #include "obs/metrics.hpp"
 #include "predict/dnn_predictor.hpp"
@@ -73,6 +76,7 @@ int main(int argc, char** argv) {
   bench::BenchTimer total;
   std::size_t points = 0;
   double sink = 0.0;  // keeps the timed kernels observable
+  double sgd_us_per_step = 0.0;
 
   // --- DNN forward: scalar call pattern vs one blocked GEMM -------------
   util::Rng rng(opts.seed);
@@ -154,6 +158,7 @@ int main(int argc, char** argv) {
       }
     }
     constexpr std::size_t kReps = 64;
+    dnn::Vector y(weights.rows());
     double scalar_ms = std::numeric_limits<double>::infinity();
     {
       obs::ScopedTimer timer("bench.matrix_multiply");
@@ -161,7 +166,8 @@ int main(int argc, char** argv) {
         bench::BenchTimer t;
         for (std::size_t rep = 0; rep < kReps; ++rep) {
           for (std::size_t n = 0; n < inputs.rows(); ++n) {
-            sink += weights.multiply(inputs.row(n)).front();
+            weights.multiply(inputs.row(n), y);
+            sink += y.front();
           }
         }
         scalar_ms = std::min(scalar_ms, t.elapsed_ms());
@@ -183,6 +189,40 @@ int main(int argc, char** argv) {
                   {static_cast<double>(inputs.rows()), rate(rows, scalar_ms),
                    rate(rows, batch_ms),
                    scalar_ms / std::max(batch_ms, 1e-6)});
+    ++points;
+  }
+
+  // --- DNN training: one per-sample SGD step (Eq. 5-8) ------------------
+  // The fused train_step() on the Table II net, cycling over a fixed set
+  // of samples; the figure is microseconds per step, best of kRounds.
+  {
+    util::Rng srng(opts.seed + 5);
+    dnn::Network net(dnn::NetworkConfig{}, srng);
+    constexpr std::size_t kSamples = 256;
+    constexpr std::size_t kSteps = 4096;
+    std::vector<std::vector<double>> inputs(kSamples);
+    std::vector<std::vector<double>> targets(kSamples);
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      for (std::size_t c = 0; c < net.config().input_size; ++c) {
+        inputs[i].push_back(srng.uniform(0.0, 1.0));
+      }
+      targets[i].push_back(srng.uniform(-0.2, 0.2));
+    }
+    double step_ms = std::numeric_limits<double>::infinity();
+    {
+      obs::ScopedTimer timer("bench.dnn_sgd_step");
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        bench::BenchTimer t;
+        for (std::size_t step = 0; step < kSteps; ++step) {
+          sink += net.train_step(inputs[step % kSamples],
+                                 targets[step % kSamples], 0.05);
+        }
+        step_ms = std::min(step_ms, t.elapsed_ms());
+      }
+    }
+    sgd_us_per_step = step_ms * 1e3 / static_cast<double>(kSteps);
+    obs::set_gauge("bench.dnn_sgd_step_us", sgd_us_per_step);
+    table.add_row("dnn_sgd_step", {1.0, rate(kSteps, step_ms), 0.0, 0.0});
     ++points;
   }
 
@@ -217,7 +257,8 @@ int main(int argc, char** argv) {
     points += 2;
   }
 
-  std::cout << table.to_string() << "checksum " << sink << "\n\n";
+  std::cout << table.to_string() << "dnn_sgd_step " << sgd_us_per_step
+            << " us/step\nchecksum " << sink << "\n\n";
   bench::finish(opts, "micro_kernels", total, points, /*threads=*/1);
   return 0;
 }

@@ -9,8 +9,6 @@ DenseLayer::DenseLayer(std::size_t inputs, std::size_t outputs,
                        Activation activation, util::Rng& rng)
     : weights_(Matrix::xavier(outputs, inputs, rng)),
       bias_(outputs, 0.0),
-      grad_weights_(outputs, inputs, 0.0),
-      grad_bias_(outputs, 0.0),
       activation_(activation) {
   if (inputs == 0 || outputs == 0) {
     throw std::invalid_argument("DenseLayer: zero-sized layer");
@@ -22,7 +20,8 @@ const Vector& DenseLayer::forward(std::span<const double> input) {
     throw std::invalid_argument("DenseLayer::forward: input size mismatch");
   }
   last_input_.assign(input.begin(), input.end());
-  last_output_ = weights_.multiply(input);
+  last_output_.resize(outputs());
+  weights_.multiply(last_input_, last_output_);
   for (std::size_t i = 0; i < last_output_.size(); ++i) {
     last_output_[i] = activate(activation_, last_output_[i] + bias_[i]);
   }
@@ -57,29 +56,34 @@ Matrix DenseLayer::forward_batch(const Matrix& batch) const {
   return out;
 }
 
-Vector DenseLayer::backward(std::span<const double> output_grad) {
+const Vector& DenseLayer::backward_step(std::span<const double> output_grad,
+                                        double learning_rate) {
   if (output_grad.size() != outputs()) {
-    throw std::invalid_argument("DenseLayer::backward: grad size mismatch");
+    throw std::invalid_argument(
+        "DenseLayer::backward_step: grad size mismatch");
   }
   if (last_input_.size() != inputs()) {
-    throw std::logic_error("DenseLayer::backward without forward");
+    throw std::logic_error("DenseLayer::backward_step without forward");
+  }
+  if (!(learning_rate > 0.0)) {
+    throw std::invalid_argument(
+        "DenseLayer::backward_step: learning_rate must be > 0");
   }
   // delta_i = dLoss/dOut_i * F'(g_i), Eq. 6/7 applied at this layer.
-  Vector delta(outputs());
-  for (std::size_t i = 0; i < delta.size(); ++i) {
-    delta[i] = output_grad[i] *
-               activate_derivative_from_output(activation_, last_output_[i]);
+  delta_.resize(outputs());
+  for (std::size_t i = 0; i < delta_.size(); ++i) {
+    delta_[i] = output_grad[i] *
+                activate_derivative_from_output(activation_, last_output_[i]);
   }
-  // Accumulate gradients (Eq. 8: dW_ij = delta_i * g_j(d-1)).
-  grad_weights_.add_outer(delta, last_input_, 1.0);
-  for (std::size_t i = 0; i < delta.size(); ++i) grad_bias_[i] += delta[i];
-  // Propagate to the previous layer: dLoss/dIn = W^T delta.
-  return weights_.multiply_transposed(delta);
-}
-
-void DenseLayer::zero_grad() {
-  grad_weights_.fill(0.0);
-  for (double& g : grad_bias_) g = 0.0;
+  // dLoss/dIn = W^T delta from the pre-update rows, fused with Eq. 8's
+  // dW_ij = -learning_rate * delta_i * g_j(d-1) (matrix.cpp states the
+  // bit-identity contract).
+  input_grad_.assign(inputs(), 0.0);
+  weights_.backprop_update(delta_, last_input_, learning_rate, input_grad_);
+  for (std::size_t i = 0; i < delta_.size(); ++i) {
+    bias_[i] -= learning_rate * delta_[i];
+  }
+  return input_grad_;
 }
 
 std::size_t DenseLayer::parameter_count() const {

@@ -2,8 +2,8 @@
 //
 // Forward (Eq. 5):  g_i(d) = F(sum_j w_ij * g_j(d-1) + e_i)
 // Backward (Eq. 6/7): error terms flow through W^T scaled by F'(g).
-// Gradients accumulate into grad_weights/grad_bias; SgdOptimizer applies
-// them (Eq. 8).
+// backward_step() applies the Eq. 8 update in place as it goes: the
+// paper updates the weights after every input, so no gradient is kept.
 #pragma once
 
 #include <span>
@@ -26,13 +26,10 @@ class DenseLayer {
   const Matrix& weights() const { return weights_; }
   Vector& bias() { return bias_; }
   const Vector& bias() const { return bias_; }
-  Matrix& grad_weights() { return grad_weights_; }
-  const Matrix& grad_weights() const { return grad_weights_; }
-  Vector& grad_bias() { return grad_bias_; }
-  const Vector& grad_bias() const { return grad_bias_; }
 
-  /// Computes activations for one sample, caching input and output for a
-  /// subsequent backward() call.
+  /// Computes activations for one sample into the layer's cached output
+  /// buffer (returned), keeping a copy of the input for a subsequent
+  /// backward_step(). Allocation-free after the first call.
   const Vector& forward(std::span<const double> input);
 
   /// Pure batched forward: activations for N samples (N x inputs) without
@@ -40,12 +37,15 @@ class DenseLayer {
   /// each output row is bit-identical to forward() on the same input row.
   Matrix forward_batch(const Matrix& batch) const;
 
-  /// Given dLoss/dOutput of this layer, accumulates weight/bias gradients
-  /// and returns dLoss/dInput. Must follow a forward() on the same sample.
-  Vector backward(std::span<const double> output_grad);
-
-  /// Zeroes accumulated gradients (start of each batch).
-  void zero_grad();
+  /// One per-sample SGD step for the sample of the last forward(): given
+  /// dLoss/dOutput, computes the error terms (Eq. 6/7), then in one sweep
+  /// over the weight rows accumulates dLoss/dInput from the pre-update
+  /// weights and applies Eq. 8 (w -= learning_rate * delta * input,
+  /// e -= learning_rate * delta). Returns dLoss/dInput in a buffer the
+  /// layer owns, valid until the next call. Allocation-free after the
+  /// first call; throws unless learning_rate > 0.
+  const Vector& backward_step(std::span<const double> output_grad,
+                              double learning_rate);
 
   /// Number of trainable parameters.
   std::size_t parameter_count() const;
@@ -53,14 +53,13 @@ class DenseLayer {
  private:
   Matrix weights_;        // outputs x inputs
   Vector bias_;           // outputs
-  Matrix grad_weights_;   // same shape as weights_
-  Vector grad_bias_;      // same shape as bias_
   Activation activation_;
 
-  // Cached forward state (single-sample training as in the paper, which
-  // updates weights per input).
+  // Per-sample training state (the paper updates weights per input).
   Vector last_input_;
   Vector last_output_;
+  Vector delta_;
+  Vector input_grad_;
 };
 
 }  // namespace corp::dnn

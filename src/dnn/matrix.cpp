@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace corp::dnn {
@@ -14,35 +15,14 @@ void Matrix::fill(double value) {
   for (double& x : data_) x = value;
 }
 
-Vector Matrix::multiply(std::span<const double> x) const {
-  if (x.size() != cols_) {
-    throw std::invalid_argument("Matrix::multiply: dimension mismatch");
-  }
-  Vector y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row_ptr[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
 namespace {
-
-/// Batch-row tile staged column-major per GEMM call; kBlock accumulators
-/// per weight row live in registers across a full column sweep. The 4-row
-/// by 8-element shape saturates the FP ports on the deployment hosts:
-/// each staged column load is reused by four weight rows, so the kernel
-/// is arithmetic-bound rather than load-bound.
-constexpr std::size_t kTile = 128;
-constexpr std::size_t kBlock = 8;
 
 // target_clones emits an ifunc whose resolver runs during relocation,
 // before the TSan runtime has initialized — the binary then segfaults at
 // load under -fsanitize=thread. The clones are a pure dispatch
-// optimization (both emit the same FP op sequence, see below), so TSan
-// builds simply take the single portable compilation of each kernel.
+// optimization (both emit the same FP op sequence, see the contract
+// below), so TSan builds simply take the single portable compilation of
+// each kernel.
 #if defined(__SANITIZE_THREAD__)
 #define CORP_TARGET_CLONES
 #elif defined(__has_feature)
@@ -54,6 +34,132 @@ constexpr std::size_t kBlock = 8;
 #else
 #define CORP_TARGET_CLONES [[gnu::target_clones("default", "avx2")]]
 #endif
+
+// Bit-identity contract of the per-sample kernels. Training is pinned
+// bit for bit by the goldens, so the fused step below must reproduce the
+// three-pass step it replaced (zero the gradient buffers, accumulate
+// delta x^T and W^T delta, then W += (-mu) * G and b -= mu * g_b):
+//  - Forward: y[r] is `acc = 0.0; acc += A(r, c) * x[c]` over ascending
+//    c. gemv() interleaves kGemvRows rows so their accumulator chains
+//    overlap, but never reassociates within a row.
+//  - No FMA: both target_clones variants ("default" and "avx2") leave
+//    FMA off, so no multiply and add can contract into one rounding and
+//    every SIMD lane performs the scalar op sequence.
+//  - Backward: rows run in ascending order and rows with delta[r] == 0
+//    are skipped, as the old accumulate and transpose passes skipped
+//    them. A skipped row's old update added (-mu) * 0.0, which leaves
+//    every weight unchanged. A live row first adds delta[r] * A(r, c)
+//    to input_grad[c] from the pre-update weight, then applies
+//    A(r, c) += (-mu) * (delta[r] * x[c]).
+//  - The old update applied (-mu) * (0.0 + delta[r] * x[c]). The two
+//    differ only when the product is -0.0 and the weight is -0.0 too
+//    (the 0.0 + turns -0.0 into +0.0), and the same holds for biases.
+//    No weight or bias is ever -0.0: libstdc++'s Xavier draw computes
+//    (2l) * u + (-l), which is at worst +0.0; biases start at +0.0; and
+//    under round-to-nearest a sum is -0.0 only when both operands are.
+//    So the fused and three-pass trajectories match bit for bit.
+//  - Layer order: a layer updates its weights before the layer below
+//    runs its backward pass, which reads only its own pre-update
+//    weights and the input_grad computed from this layer's pre-update
+//    weights, so the interleaving is invisible.
+
+/// Rows per gemv() block: independent accumulator chains that the core
+/// overlaps, where one row alone is a latency-bound add chain.
+constexpr std::size_t kGemvRows = 4;
+
+CORP_TARGET_CLONES
+void gemv(const double* __restrict a, std::size_t rows, std::size_t cols,
+          const double* __restrict x, double* __restrict y) {
+  std::size_t r = 0;
+  for (; r + kGemvRows <= rows; r += kGemvRows) {
+    const double* __restrict a0 = a + r * cols;
+    const double* __restrict a1 = a0 + cols;
+    const double* __restrict a2 = a1 + cols;
+    const double* __restrict a3 = a2 + cols;
+    double acc0 = 0.0;
+    double acc1 = 0.0;
+    double acc2 = 0.0;
+    double acc3 = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double xc = x[c];
+      acc0 += a0[c] * xc;
+      acc1 += a1[c] * xc;
+      acc2 += a2[c] * xc;
+      acc3 += a3[c] * xc;
+    }
+    y[r] = acc0;
+    y[r + 1] = acc1;
+    y[r + 2] = acc2;
+    y[r + 3] = acc3;
+  }
+  for (; r < rows; ++r) {
+    const double* __restrict row = a + r * cols;
+    double acc = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
+    y[r] = acc;
+  }
+}
+
+CORP_TARGET_CLONES
+void backprop_rows(double* __restrict a, std::size_t rows, std::size_t cols,
+                   const double* __restrict delta,
+                   const double* __restrict x, double neg_rate,
+                   double* __restrict input_grad) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double d = delta[r];
+    if (d == 0.0) continue;
+    double* __restrict row = a + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) {
+      input_grad[c] += d * row[c];
+      row[c] += neg_rate * (d * x[c]);
+    }
+  }
+}
+
+/// True when the two spans share any element.
+bool overlaps(std::span<const double> a, std::span<const double> b) {
+  const std::less<const double*> before;
+  return before(a.data(), b.data() + b.size()) &&
+         before(b.data(), a.data() + a.size());
+}
+
+}  // namespace
+
+void Matrix::multiply(std::span<const double> x, std::span<double> y) const {
+  if (x.size() != cols_ || y.size() != rows_) {
+    throw std::invalid_argument("Matrix::multiply: dimension mismatch");
+  }
+  if (overlaps(x, y)) {
+    throw std::invalid_argument("Matrix::multiply: x and y overlap");
+  }
+  gemv(data_.data(), rows_, cols_, x.data(), y.data());
+}
+
+void Matrix::backprop_update(std::span<const double> delta,
+                             std::span<const double> x, double learning_rate,
+                             std::span<double> input_grad) {
+  if (delta.size() != rows_ || x.size() != cols_ ||
+      input_grad.size() != cols_) {
+    throw std::invalid_argument("Matrix::backprop_update: dimension mismatch");
+  }
+  if (overlaps(input_grad, x) || overlaps(input_grad, delta) ||
+      overlaps(input_grad, data_) || overlaps(x, data_) ||
+      overlaps(delta, data_)) {
+    throw std::invalid_argument("Matrix::backprop_update: operands overlap");
+  }
+  backprop_rows(data_.data(), rows_, cols_, delta.data(), x.data(),
+                -learning_rate, input_grad.data());
+}
+
+namespace {
+
+/// Batch-row tile staged column-major per GEMM call; kBlock accumulators
+/// per weight row live in registers across a full column sweep. The 4-row
+/// by 8-element shape saturates the FP ports on the deployment hosts:
+/// each staged column load is reused by four weight rows, so the kernel
+/// is arithmetic-bound rather than load-bound.
+constexpr std::size_t kTile = 128;
+constexpr std::size_t kBlock = 8;
 
 /// Hot micro-kernel of multiply_batch: kBlock output elements of one
 /// weight row, their accumulators register-resident for the entire
@@ -206,43 +312,6 @@ Matrix Matrix::multiply_batch(const Matrix& inputs) const {
     }
   }
   return out;
-}
-
-Vector Matrix::multiply_transposed(std::span<const double> x) const {
-  if (x.size() != rows_) {
-    throw std::invalid_argument(
-        "Matrix::multiply_transposed: dimension mismatch");
-  }
-  Vector y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    const double* row_ptr = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += xr * row_ptr[c];
-  }
-  return y;
-}
-
-void Matrix::add_outer(std::span<const double> a, std::span<const double> b,
-                       double scale) {
-  if (a.size() != rows_ || b.size() != cols_) {
-    throw std::invalid_argument("Matrix::add_outer: dimension mismatch");
-  }
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double ar = scale * a[r];
-    if (ar == 0.0) continue;
-    double* row_ptr = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) row_ptr[c] += ar * b[c];
-  }
-}
-
-void Matrix::add_scaled(const Matrix& other, double scale) {
-  if (other.rows_ != rows_ || other.cols_ != cols_) {
-    throw std::invalid_argument("Matrix::add_scaled: shape mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scale * other.data_[i];
-  }
 }
 
 Matrix Matrix::xavier(std::size_t rows, std::size_t cols, util::Rng& rng) {

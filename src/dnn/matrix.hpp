@@ -1,8 +1,9 @@
 // Dense row-major matrix for the feed-forward network.
 //
-// The paper's DNN is tiny (Table II: 4 layers x 50 units), so clarity wins
-// over blocking/vectorization tricks; the only hot kernel, gemv, is written
-// to be auto-vectorizer friendly (contiguous row walks, no aliasing).
+// The paper's DNN is tiny (Table II: 4 layers x 50 units). Its hot kernels
+// are the per-sample gemv of the forward pass, the fused back-propagation
+// sweep that applies Eq. 8 in place, and the batched GEMM of inference;
+// matrix.cpp states the bit-identity contract they keep.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +45,10 @@ class Matrix {
 
   void fill(double value);
 
-  /// y = A x  (x.size() == cols, result.size() == rows).
-  Vector multiply(std::span<const double> x) const;
+  /// y = A x (x.size() == cols, y.size() == rows), written into the
+  /// caller's span: y[r] is one accumulator starting at 0.0 that adds
+  /// A(r, c) * x[c] over ascending c.
+  void multiply(std::span<const double> x, std::span<double> y) const;
 
   /// Y = X A^T for a batch X of N row-major inputs (N x cols), producing
   /// N x rows outputs — one gemv per input row, blocked over the batch so a
@@ -55,17 +58,15 @@ class Matrix {
   /// is bit-identical to multiply(X.row(n)) for every n.
   Matrix multiply_batch(const Matrix& inputs) const;
 
-  /// y = A^T x (x.size() == rows, result.size() == cols). Used by
-  /// back-propagation (Eq. 7) without materializing the transpose.
-  Vector multiply_transposed(std::span<const double> x) const;
-
-  /// this += scale * (a outer b), a.size()==rows, b.size()==cols. The
-  /// weight-update kernel of Eq. 8.
-  void add_outer(std::span<const double> a, std::span<const double> b,
-                 double scale);
-
-  /// this += scale * other (same shape).
-  void add_scaled(const Matrix& other, double scale);
+  /// The fused back-propagation sweep of one layer (Eq. 7 and 8) for
+  /// error terms `delta` (size rows) of input `x` (size cols): for each
+  /// row r in ascending order with delta[r] != 0, first
+  /// input_grad += delta[r] * A(r, :) from the pre-update row, then
+  /// A(r, c) += (-learning_rate) * (delta[r] * x[c]). input_grad (size
+  /// cols) accumulates onto what the caller put there, normally zeros.
+  void backprop_update(std::span<const double> delta,
+                       std::span<const double> x, double learning_rate,
+                       std::span<double> input_grad);
 
   /// Xavier/Glorot uniform init: U(-limit, limit), limit = sqrt(6/(in+out)).
   static Matrix xavier(std::size_t rows, std::size_t cols, util::Rng& rng);

@@ -24,19 +24,13 @@ Network::Network(const NetworkConfig& config, util::Rng& rng)
   layers_.emplace_back(prev, config.output_size, Activation::kIdentity, rng);
 }
 
-std::vector<DenseLayer*> Network::layer_pointers() {
-  std::vector<DenseLayer*> ptrs;
-  ptrs.reserve(layers_.size());
-  for (auto& layer : layers_) ptrs.push_back(&layer);
-  return ptrs;
-}
-
-Vector Network::forward(std::span<const double> input) {
-  Vector current(input.begin(), input.end());
-  for (auto& layer : layers_) {
-    current = layer.forward(current);
+const Vector& Network::forward(std::span<const double> input) {
+  // The constructor guarantees at least a hidden layer and the head.
+  const Vector* out = &layers_.front().forward(input);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    out = &layers_[i].forward(*out);
   }
-  return current;
+  return *out;
 }
 
 namespace {
@@ -85,27 +79,20 @@ Matrix Network::forward_batch(const Matrix& batch,
   return out;
 }
 
-void Network::backward(std::span<const double> output_grad) {
-  Vector grad(output_grad.begin(), output_grad.end());
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = it->backward(grad);
-  }
-}
-
-void Network::zero_grad() {
-  for (auto& layer : layers_) layer.zero_grad();
-}
-
-double Network::train_sample(std::span<const double> input,
-                             std::span<const double> target) {
-  const Vector prediction = forward(input);
+double Network::train_step(std::span<const double> input,
+                           std::span<const double> target,
+                           double learning_rate) {
+  const Vector& prediction = forward(input);
   if (prediction.size() != target.size()) {
-    throw std::invalid_argument("train_sample: target size mismatch");
+    throw std::invalid_argument("train_step: target size mismatch");
   }
   const double loss = mse(prediction, target);
-  Vector grad(prediction.size());
-  mse_gradient(prediction, target, grad);
-  backward(grad);
+  output_grad_.resize(prediction.size());
+  mse_gradient(prediction, target, output_grad_);
+  std::span<const double> grad = output_grad_;
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    grad = it->backward_step(grad, learning_rate);
+  }
   return loss;
 }
 

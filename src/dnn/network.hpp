@@ -35,15 +35,15 @@ class Network {
   DenseLayer& layer(std::size_t i) { return layers_[i]; }
   const DenseLayer& layer(std::size_t i) const { return layers_[i]; }
 
-  /// Non-owning pointers to all layers, for SgdOptimizer::bind.
-  std::vector<DenseLayer*> layer_pointers();
+  /// Feed-forward evaluation caching per-layer state for train_step().
+  /// Returns the head's cached output, valid until the next forward().
+  const Vector& forward(std::span<const double> input);
 
-  /// Feed-forward evaluation caching per-layer state for backward().
-  Vector forward(std::span<const double> input);
-
-  /// Inference without keeping gradient state correct for training (same
+  /// Inference through the same cached per-sample path (same
   /// computation; named for call-site clarity).
-  Vector predict(std::span<const double> input) { return forward(input); }
+  const Vector& predict(std::span<const double> input) {
+    return forward(input);
+  }
 
   /// Pure batched inference over N samples (N x input_size -> N x
   /// output_size). Each output row is bit-identical to predict() on the
@@ -55,22 +55,21 @@ class Network {
   Matrix forward_batch(const Matrix& batch,
                        util::ThreadPool* pool = nullptr) const;
 
-  /// Runs backward over all layers given dLoss/dPrediction, accumulating
-  /// gradients. Must follow a forward() on the same sample.
-  void backward(std::span<const double> output_grad);
-
-  void zero_grad();
-
-  /// One full training sample: forward, MSE loss, backward. Returns the
-  /// sample loss. Gradients accumulate (caller steps the optimizer).
-  double train_sample(std::span<const double> input,
-                      std::span<const double> target);
+  /// One per-sample SGD step (Eq. 5-8): forward into each layer's cached
+  /// output, MSE loss, then each layer's fused backward_step() from the
+  /// head down, which updates its weights in place. Returns the sample
+  /// loss. Allocation-free after the first call; throws unless
+  /// learning_rate > 0.
+  double train_step(std::span<const double> input,
+                    std::span<const double> target, double learning_rate);
 
   std::size_t parameter_count() const;
 
  private:
   NetworkConfig config_;
   std::vector<DenseLayer> layers_;
+  /// dLoss/dPrediction scratch of train_step().
+  Vector output_grad_;
 };
 
 }  // namespace corp::dnn

@@ -14,6 +14,46 @@ namespace {
 constexpr double kValidationFraction = 0.2;
 /// SGD rate of the layerwise autoencoder pretraining.
 constexpr double kPretrainLearningRate = 0.05;
+/// Held-out rows per forward_batch() call: bounds the activations one
+/// validation pass allocates (rows x hidden units per layer) whatever the
+/// dataset size.
+constexpr std::size_t kEvaluateChunkRows = 1024;
+
+/// Samples [begin, end) of `data` packed into forward_batch() inputs of
+/// at most kEvaluateChunkRows rows each.
+std::vector<Matrix> pack_inputs(const Dataset& data, std::size_t begin,
+                                std::size_t end) {
+  std::vector<Matrix> chunks;
+  if (begin >= end) return chunks;
+  chunks.reserve((end - begin + kEvaluateChunkRows - 1) / kEvaluateChunkRows);
+  const std::size_t width = data.inputs[begin].size();
+  for (std::size_t first = begin; first < end; first += kEvaluateChunkRows) {
+    const std::size_t rows = std::min(kEvaluateChunkRows, end - first);
+    Matrix& chunk = chunks.emplace_back(rows, width);
+    for (std::size_t k = 0; k < rows; ++k) {
+      const Vector& input = data.inputs[first + k];
+      std::copy(input.begin(), input.end(), chunk.row(k).begin());
+    }
+  }
+  return chunks;
+}
+
+/// Mean sample loss over the samples packed in `chunks`, the first of
+/// which is data sample `begin`; losses are summed in sample order, so
+/// the result is bit-identical to a per-sample predict() sweep.
+double mean_loss(const Network& network, const std::vector<Matrix>& chunks,
+                 const Dataset& data, std::size_t begin) {
+  double total = 0.0;
+  std::size_t sample = begin;
+  for (const Matrix& chunk : chunks) {
+    const Matrix out = network.forward_batch(chunk);
+    for (std::size_t k = 0; k < out.rows(); ++k, ++sample) {
+      total += mse(out.row(k), data.targets[sample]);
+    }
+  }
+  return total / static_cast<double>(sample - begin);
+}
+
 }  // namespace
 
 bool Dataset::consistent() const {
@@ -27,80 +67,72 @@ bool Dataset::consistent() const {
   return true;
 }
 
-std::pair<Dataset, Dataset> Dataset::split_validation(double fraction) const {
-  Dataset train, val;
+std::size_t Dataset::validation_start(double fraction) const {
   const double f = std::clamp(fraction, 0.0, 0.9);
   const auto val_count =
       static_cast<std::size_t>(static_cast<double>(size()) * f);
-  const std::size_t train_count = size() - val_count;
-  train.inputs.assign(inputs.begin(), inputs.begin() + train_count);
-  train.targets.assign(targets.begin(), targets.begin() + train_count);
-  val.inputs.assign(inputs.begin() + train_count, inputs.end());
-  val.targets.assign(targets.begin() + train_count, targets.end());
-  return {std::move(train), std::move(val)};
+  return size() - val_count;
 }
 
 Trainer::Trainer(TrainerConfig config, util::Rng& rng)
     : config_(config), rng_(rng) {}
 
-double Trainer::evaluate(Network& network, const Dataset& data) {
+double Trainer::evaluate(const Network& network, const Dataset& data) {
   if (data.size() == 0) return 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const Vector pred = network.predict(data.inputs[i]);
-    total += mse(pred, data.targets[i]);
-  }
-  return total / static_cast<double>(data.size());
+  return mean_loss(network, pack_inputs(data, 0, data.size()), data, 0);
 }
 
-void Trainer::pretrain(Network& network, const Dataset& data) {
-  if (config_.pretrain_epochs == 0 || data.size() == 0) return;
+void Trainer::pretrain(Network& network, const Dataset& data,
+                       std::size_t count) {
+  if (config_.pretrain_epochs == 0 || count == 0) return;
   // Greedy layerwise: feed each sample through the already-pretrained
   // prefix, then train (layer, transient decoder) to reconstruct the
   // prefix output.
   const std::size_t hidden = network.layer_count() - 1;  // skip output head
+  Vector recon_grad;
   for (std::size_t li = 0; li < hidden; ++li) {
     DenseLayer& enc = network.layer(li);
     DenseLayer dec(enc.outputs(), enc.inputs(), Activation::kIdentity, rng_);
-    SgdOptimizer opt(kPretrainLearningRate);
-    opt.bind({&enc, &dec});
+    recon_grad.resize(enc.inputs());
     for (std::size_t epoch = 0; epoch < config_.pretrain_epochs; ++epoch) {
-      for (std::size_t s = 0; s < data.size(); ++s) {
-        // Propagate through the frozen prefix.
-        Vector x(data.inputs[s]);
+      for (std::size_t s = 0; s < count; ++s) {
+        // Propagate through the frozen prefix; `x` views the last prefix
+        // layer's cached output, which enc and dec never touch.
+        std::span<const double> x = data.inputs[s];
         for (std::size_t p = 0; p < li; ++p) {
           x = network.layer(p).forward(x);
         }
-        enc.zero_grad();
-        dec.zero_grad();
         const Vector& code = enc.forward(x);
-        const Vector recon = dec.forward(code);
-        Vector grad(recon.size());
-        mse_gradient(recon, x, grad);
-        const Vector code_grad = dec.backward(grad);
-        enc.backward(code_grad);
-        opt.step();
+        const Vector& recon = dec.forward(code);
+        mse_gradient(recon, x, recon_grad);
+        // The decoder updates before the encoder's backward pass; the
+        // encoder never reads decoder weights, so the order is invisible.
+        const Vector& code_grad =
+            dec.backward_step(recon_grad, kPretrainLearningRate);
+        enc.backward_step(code_grad, kPretrainLearningRate);
       }
     }
   }
 }
 
-TrainReport Trainer::fit(Network& network, SgdOptimizer& optimizer,
+TrainReport Trainer::fit(Network& network, double learning_rate,
                          const Dataset& data) {
   const obs::ScopedTimer fit_timer("dnn.fit");
+  if (!(learning_rate > 0.0)) {
+    throw std::invalid_argument("Trainer::fit: learning_rate must be > 0");
+  }
   if (!data.consistent()) {
     throw std::invalid_argument("Trainer::fit: inconsistent dataset");
   }
   TrainReport report;
   if (data.size() == 0) return report;
 
-  auto [train, val] = data.split_validation(kValidationFraction);
-  if (train.size() == 0) {
-    train = data;  // too little data to hold out; validate on train
-    val = data;
-  }
-  pretrain(network, train);
-  optimizer.bind(network.layer_pointers());
+  // Samples [0, train_count) train; the chronological tail validates,
+  // its inputs packed for the batched forward pass once per fit.
+  const std::size_t train_count = data.validation_start(kValidationFraction);
+  pretrain(network, data, train_count);
+  const std::vector<Matrix> val_inputs =
+      pack_inputs(data, train_count, data.size());
 
   // Hoisted metric handles: one registry lookup per fit, not per epoch.
   obs::MetricRegistry& reg = obs::registry();
@@ -113,16 +145,17 @@ TrainReport Trainer::fit(Network& network, SgdOptimizer& optimizer,
   std::size_t since_best = 0;
   for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
     const auto epoch_start = std::chrono::steady_clock::now();
-    const std::vector<std::size_t> order = rng_.permutation(train.size());
+    const std::vector<std::size_t> order = rng_.permutation(train_count);
     double train_loss = 0.0;
     for (std::size_t idx : order) {
-      network.zero_grad();
-      train_loss += network.train_sample(train.inputs[idx], train.targets[idx]);
-      optimizer.step();
+      train_loss += network.train_step(data.inputs[idx], data.targets[idx],
+                                       learning_rate);
     }
-    report.final_train_loss = train_loss / static_cast<double>(train.size());
+    report.final_train_loss = train_loss / static_cast<double>(train_count);
     const double val_loss =
-        val.size() > 0 ? evaluate(network, val) : report.final_train_loss;
+        val_inputs.empty()
+            ? report.final_train_loss
+            : mean_loss(network, val_inputs, data, train_count);
     report.validation_curve.push_back(val_loss);
     report.epochs_run = epoch + 1;
 
@@ -132,8 +165,8 @@ TrainReport Trainer::fit(Network& network, SgdOptimizer& optimizer,
       epoch_ms->observe(wall.count());
       sgd_steps->add(order.size());
       epochs_run->add(1);
-      reg.gauge("dnn.epoch_train_loss").set(report.final_train_loss);
-      reg.gauge("dnn.epoch_validation_loss").set(val_loss);
+      obs::set_gauge("dnn.epoch_train_loss", report.final_train_loss);
+      obs::set_gauge("dnn.epoch_validation_loss", val_loss);
     }
 
     if (val_loss < best_val - config_.min_delta) {
@@ -148,7 +181,7 @@ TrainReport Trainer::fit(Network& network, SgdOptimizer& optimizer,
   if (metrics) {
     reg.counter("dnn.fits").add(1);
     if (report.converged) reg.counter("dnn.fits_converged").add(1);
-    reg.gauge("dnn.best_validation_loss").set(report.best_validation_loss);
+    obs::set_gauge("dnn.best_validation_loss", report.best_validation_loss);
   }
   return report;
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "dnn/network.hpp"
-#include "dnn/optimizer.hpp"
 #include "util/rng.hpp"
 
 namespace corp::dnn {
@@ -23,9 +22,11 @@ struct Dataset {
   std::size_t size() const { return inputs.size(); }
   bool consistent() const;
 
-  /// Splits off the last `fraction` of samples as validation (chronological
-  /// split — time-series data must not leak future into past).
-  std::pair<Dataset, Dataset> split_validation(double fraction) const;
+  /// Index of the first validation sample when the last `fraction`
+  /// (clamped to [0, 0.9]) of the samples is held out: a chronological
+  /// split, so time-series data never leaks future into past. Samples
+  /// [0, result) train; at least one does whenever the set is non-empty.
+  std::size_t validation_start(double fraction) const;
 };
 
 struct TrainerConfig {
@@ -51,21 +52,23 @@ class Trainer {
  public:
   Trainer(TrainerConfig config, util::Rng& rng);
 
-  /// Trains the network in place using the given optimizer. The optimizer
-  /// is bound to the network's layers internally. The last 20% of the
-  /// samples are held out for validation, and the training order is
-  /// reshuffled every epoch.
-  TrainReport fit(Network& network, SgdOptimizer& optimizer,
+  /// Trains the network in place by per-sample SGD at `learning_rate`
+  /// (the mu of Eq. 8; must be > 0). The last 20% of the samples are held
+  /// out for validation, and the training order is reshuffled every
+  /// epoch.
+  TrainReport fit(Network& network, double learning_rate,
                   const Dataset& data);
 
-  /// Mean loss of the network over a dataset without updating weights.
-  static double evaluate(Network& network, const Dataset& data);
+  /// Mean loss of the network over a dataset without updating weights:
+  /// one batched forward pass (Network::forward_batch), with the sample
+  /// losses summed in sample order.
+  static double evaluate(const Network& network, const Dataset& data);
 
  private:
-  /// Greedy layerwise denoising-free autoencoder pretraining: each hidden
-  /// layer is trained to reconstruct its input through a transient decoder
-  /// before the supervised pass.
-  void pretrain(Network& network, const Dataset& data);
+  /// Greedy layerwise denoising-free autoencoder pretraining over the
+  /// first `count` samples: each hidden layer is trained to reconstruct
+  /// its input through a transient decoder before the supervised pass.
+  void pretrain(Network& network, const Dataset& data, std::size_t count);
 
   TrainerConfig config_;
   util::Rng& rng_;

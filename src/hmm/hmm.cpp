@@ -307,9 +307,8 @@ BaumWelchReport DiscreteHmm::baum_welch(
     reg.counter("hmm.bw_fits").add(1);
     reg.counter("hmm.bw_iterations").add(report.iterations);
     if (report.converged) reg.counter("hmm.bw_converged").add(1);
-    reg.gauge("hmm.final_log_likelihood")
-        .set(report.final_log_likelihood);
-    reg.gauge("hmm.log_likelihood_delta").set(last_delta);
+    obs::set_gauge("hmm.final_log_likelihood", report.final_log_likelihood);
+    obs::set_gauge("hmm.log_likelihood_delta", last_delta);
   }
   return report;
 }

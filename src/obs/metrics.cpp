@@ -205,4 +205,21 @@ MetricRegistry& registry() {
   return instance;
 }
 
+namespace {
+thread_local GaugeLog* t_gauge_capture = nullptr;
+}  // namespace
+
+void GaugeLog::publish(MetricRegistry& reg) const {
+  for (const auto& [name, value] : writes_) reg.gauge(name).set(value);
+}
+
+ScopedGaugeCapture::ScopedGaugeCapture(GaugeLog& log)
+    : previous_(t_gauge_capture) {
+  t_gauge_capture = &log;
+}
+
+ScopedGaugeCapture::~ScopedGaugeCapture() { t_gauge_capture = previous_; }
+
+GaugeLog* active_gauge_capture() { return t_gauge_capture; }
+
 }  // namespace corp::obs

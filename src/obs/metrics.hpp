@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace corp::obs {
@@ -190,15 +191,55 @@ MetricRegistry& registry();
 inline bool enabled() { return registry().enabled(); }
 inline void set_enabled(bool on) { registry().set_enabled(on); }
 
+/// Gauge writes held back for later publication. Gauges are
+/// last-writer-wins, so tasks that run concurrently would leave whichever
+/// write the schedule put last. Each task instead captures its writes
+/// into its own log (ScopedGaugeCapture) and the caller publishes the
+/// logs after the join in task order, which leaves every gauge as a
+/// serial run in that order would.
+class GaugeLog {
+ public:
+  void record(const char* name, double value) {
+    writes_.emplace_back(name, value);
+  }
+  /// Replays the captured writes into `reg`, oldest first.
+  void publish(MetricRegistry& reg) const;
+
+ private:
+  std::vector<std::pair<std::string, double>> writes_;
+};
+
+/// While alive, routes the current thread's set_gauge() calls into `log`
+/// instead of the registry (restoring any outer capture on destruction).
+class ScopedGaugeCapture {
+ public:
+  explicit ScopedGaugeCapture(GaugeLog& log);
+  ~ScopedGaugeCapture();
+  ScopedGaugeCapture(const ScopedGaugeCapture&) = delete;
+  ScopedGaugeCapture& operator=(const ScopedGaugeCapture&) = delete;
+
+ private:
+  GaugeLog* previous_;
+};
+
+/// The current thread's active capture, or null.
+GaugeLog* active_gauge_capture();
+
 /// Gated helpers: one relaxed load when disabled, name lookup + atomic
 /// bump when enabled. Hot loops should hoist handles instead.
 inline void count(const char* name, std::uint64_t delta = 1) {
   MetricRegistry& reg = registry();
   if (reg.enabled()) reg.counter(name).add(delta);
 }
+/// Sets a gauge, or records the write in the thread's ScopedGaugeCapture.
 inline void set_gauge(const char* name, double value) {
   MetricRegistry& reg = registry();
-  if (reg.enabled()) reg.gauge(name).set(value);
+  if (!reg.enabled()) return;
+  if (GaugeLog* log = active_gauge_capture()) {
+    log->record(name, value);
+  } else {
+    reg.gauge(name).set(value);
+  }
 }
 inline void observe(const char* name, double value) {
   MetricRegistry& reg = registry();

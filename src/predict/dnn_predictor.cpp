@@ -62,9 +62,8 @@ void DnnPredictor::train(const SeriesCorpus& corpus) {
   net_config.hidden_units = config_.hidden_units;
   network_ = std::make_unique<dnn::Network>(net_config, rng_);
 
-  dnn::SgdOptimizer optimizer(kLearningRate);
   dnn::Trainer trainer(config_.trainer, rng_);
-  report_ = trainer.fit(*network_, optimizer, data);
+  report_ = trainer.fit(*network_, kLearningRate, data);
   trained_ = true;
 }
 
@@ -74,8 +73,8 @@ double DnnPredictor::predict(const PredictionQuery& query) {
 
   std::vector<double> window(config_.history_slots);
   fill_window(query.history, window);
-  const dnn::Vector out = network_->predict(window);
-  return normalizer_.inverse(window_anchor(window) + out.front());
+  const double out = network_->predict(window).front();
+  return normalizer_.inverse(window_anchor(window) + out);
 }
 
 BatchResult DnnPredictor::predict_batch(const BatchRequest& request) {

@@ -11,7 +11,6 @@
 
 #include "dnn/network.hpp"
 #include "dnn/normalizer.hpp"
-#include "dnn/optimizer.hpp"
 #include "dnn/trainer.hpp"
 #include "predict/predictor.hpp"
 #include "util/rng.hpp"

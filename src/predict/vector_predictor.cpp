@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hpp"
 #include "predict/stacks.hpp"
+#include "util/thread_pool.hpp"
 
 namespace corp::predict {
 
@@ -78,11 +79,20 @@ VectorPredictor::VectorPredictor(Method method, const StackConfig& config,
   }
 }
 
-void VectorPredictor::train(const VectorCorpus& corpus) {
-  for (std::size_t r = 0; r < kNumResources; ++r) {
+void VectorPredictor::train(const VectorCorpus& corpus,
+                            util::ThreadPool* pool) {
+  std::array<obs::GaugeLog, kNumResources> gauges;
+  const auto train_type = [&](std::size_t r) {
+    const obs::ScopedGaugeCapture capture(gauges[r]);
     stacks_[r]->train(corpus.per_type[r]);
     if (fallback_[r]) fallback_[r]->train(corpus.per_type[r]);
+  };
+  if (pool != nullptr && pool->size() > 1) {
+    pool->parallel_for(kNumResources, train_type);
+  } else {
+    for (std::size_t r = 0; r < kNumResources; ++r) train_type(r);
   }
+  for (const obs::GaugeLog& log : gauges) log.publish(obs::registry());
 }
 
 ResourceVector VectorPredictor::predict(

@@ -67,7 +67,13 @@ class VectorPredictor {
 
   Method method() const { return method_; }
 
-  void train(const VectorCorpus& corpus);
+  /// Trains each resource type's stack and its fallback as one task,
+  /// concurrently on `pool` when it has more than one worker (each stack
+  /// owns a forked RNG and writes only its own state, so the weights do
+  /// not depend on the schedule). Gauges the fits set are captured per
+  /// resource and published after the join in resource order, so a
+  /// metrics snapshot reads as after a serial run.
+  void train(const VectorCorpus& corpus, util::ThreadPool* pool = nullptr);
 
   /// Forecasts the unused vector at t + L from per-type histories.
   /// Histories may contain NaN gap markers (imputed before prediction).

@@ -138,7 +138,14 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
 
 void Simulation::train(const trace::Trace& history) {
   const obs::ScopedTimer timer("sim.train");
-  predictor_->train(build_unused_corpus(history));
+  // The resource stacks train concurrently on the run's pool, created
+  // here under ShardEngine::ensure_pool's rule: only when Params::threads
+  // resolves above 1, so serial runs spawn no threads.
+  if (pool_ == nullptr &&
+      util::ThreadPool::resolve(config_.params.threads) > 1) {
+    pool_ = std::make_unique<util::ThreadPool>(config_.params.threads);
+  }
+  predictor_->train(build_unused_corpus(history), pool_.get());
   scheduler_->train(build_utilization_corpus(history));
   trained_ = true;
 }

@@ -45,85 +45,68 @@ TEST(DenseLayerTest, ForwardWrongSizeThrows) {
 TEST(DenseLayerTest, BackwardBeforeForwardThrows) {
   util::Rng rng(1);
   DenseLayer layer(2, 1, Activation::kIdentity, rng);
-  EXPECT_THROW(layer.backward(std::vector<double>{1.0}), std::logic_error);
+  EXPECT_THROW(layer.backward_step(std::vector<double>{1.0}, 0.1),
+               std::logic_error);
 }
 
-TEST(DenseLayerTest, ZeroGradClearsAccumulators) {
-  util::Rng rng(1);
-  DenseLayer layer(2, 2, Activation::kSigmoid, rng);
-  layer.forward(std::vector<double>{1.0, -1.0});
-  layer.backward(std::vector<double>{0.3, -0.2});
-  layer.zero_grad();
-  for (double g : layer.grad_weights().flat()) EXPECT_DOUBLE_EQ(g, 0.0);
-  for (double g : layer.grad_bias()) EXPECT_DOUBLE_EQ(g, 0.0);
-}
-
-// Numerical gradient check: the analytic weight/bias/input gradients of a
-// sigmoid layer under 0.5*(t - g)^2 loss must match central differences.
+// Numerical gradient check of the fused step: the update it applies,
+// (W_before - W_after) / mu (likewise for biases), and the dLoss/dInput it
+// returns must match central differences of 0.5*(t - g)^2 taken at the
+// pre-update parameters.
 TEST(DenseLayerTest, GradientsMatchFiniteDifferences) {
   util::Rng rng(42);
   DenseLayer layer(3, 2, Activation::kSigmoid, rng);
   const std::vector<double> input{0.3, -0.7, 1.1};
   const std::vector<double> target{0.6, 0.2};
+  constexpr double kRate = 0.1;
 
+  DenseLayer before = layer;
   auto loss_of = [&](DenseLayer& l) {
     const Vector out = l.forward(input);
     return mse(out, target);
   };
 
-  // Analytic gradients.
-  layer.zero_grad();
+  // Analytic step on `layer`; `before` keeps the pre-update parameters.
   const Vector out = layer.forward(input);
   Vector grad(out.size());
   mse_gradient(out, target, grad);
-  const Vector input_grad = layer.backward(grad);
+  const Vector input_grad = layer.backward_step(grad, kRate);
 
   const double h = 1e-6;
   // Weights.
-  for (std::size_t r = 0; r < layer.outputs(); ++r) {
-    for (std::size_t c = 0; c < layer.inputs(); ++c) {
-      const double orig = layer.weights()(r, c);
-      layer.weights()(r, c) = orig + h;
-      const double lp = loss_of(layer);
-      layer.weights()(r, c) = orig - h;
-      const double lm = loss_of(layer);
-      layer.weights()(r, c) = orig;
-      EXPECT_NEAR(layer.grad_weights()(r, c), (lp - lm) / (2 * h), 1e-6)
+  for (std::size_t r = 0; r < before.outputs(); ++r) {
+    for (std::size_t c = 0; c < before.inputs(); ++c) {
+      const double orig = before.weights()(r, c);
+      before.weights()(r, c) = orig + h;
+      const double lp = loss_of(before);
+      before.weights()(r, c) = orig - h;
+      const double lm = loss_of(before);
+      before.weights()(r, c) = orig;
+      const double applied = (orig - layer.weights()(r, c)) / kRate;
+      EXPECT_NEAR(applied, (lp - lm) / (2 * h), 1e-6)
           << "weight (" << r << "," << c << ")";
     }
   }
   // Biases.
-  for (std::size_t r = 0; r < layer.outputs(); ++r) {
-    const double orig = layer.bias()[r];
-    layer.bias()[r] = orig + h;
-    const double lp = loss_of(layer);
-    layer.bias()[r] = orig - h;
-    const double lm = loss_of(layer);
-    layer.bias()[r] = orig;
-    EXPECT_NEAR(layer.grad_bias()[r], (lp - lm) / (2 * h), 1e-6)
-        << "bias " << r;
+  for (std::size_t r = 0; r < before.outputs(); ++r) {
+    const double orig = before.bias()[r];
+    before.bias()[r] = orig + h;
+    const double lp = loss_of(before);
+    before.bias()[r] = orig - h;
+    const double lm = loss_of(before);
+    before.bias()[r] = orig;
+    const double applied = (orig - layer.bias()[r]) / kRate;
+    EXPECT_NEAR(applied, (lp - lm) / (2 * h), 1e-6) << "bias " << r;
   }
   // Inputs (Eq. 7 back-propagated error terms).
-  for (std::size_t c = 0; c < layer.inputs(); ++c) {
+  for (std::size_t c = 0; c < before.inputs(); ++c) {
     std::vector<double> ip = input, im = input;
     ip[c] += h;
     im[c] -= h;
-    const double lp = mse(layer.forward(ip), target);
-    const double lm = mse(layer.forward(im), target);
+    const double lp = mse(before.forward(ip), target);
+    const double lm = mse(before.forward(im), target);
     EXPECT_NEAR(input_grad[c], (lp - lm) / (2 * h), 1e-6) << "input " << c;
   }
-}
-
-TEST(DenseLayerTest, GradientsAccumulateAcrossSamples) {
-  util::Rng rng(5);
-  DenseLayer layer(2, 1, Activation::kIdentity, rng);
-  layer.zero_grad();
-  layer.forward(std::vector<double>{1.0, 0.0});
-  layer.backward(std::vector<double>{1.0});
-  const double after_one = layer.grad_weights()(0, 0);
-  layer.forward(std::vector<double>{1.0, 0.0});
-  layer.backward(std::vector<double>{1.0});
-  EXPECT_DOUBLE_EQ(layer.grad_weights()(0, 0), 2.0 * after_one);
 }
 
 }  // namespace

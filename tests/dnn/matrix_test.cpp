@@ -37,55 +37,75 @@ TEST(MatrixTest, MultiplyKnownValues) {
   // [1 2 3; 4 5 6] * [1, 0, -1]^T = [-2, -2]
   m(0, 0) = 1; m(0, 1) = 2; m(0, 2) = 3;
   m(1, 0) = 4; m(1, 1) = 5; m(1, 2) = 6;
-  const Vector y = m.multiply(std::vector<double>{1.0, 0.0, -1.0});
-  ASSERT_EQ(y.size(), 2u);
+  Vector y(2);
+  m.multiply(std::vector<double>{1.0, 0.0, -1.0}, y);
   EXPECT_DOUBLE_EQ(y[0], -2.0);
   EXPECT_DOUBLE_EQ(y[1], -2.0);
 }
 
 TEST(MatrixTest, MultiplyDimensionMismatchThrows) {
   Matrix m(2, 3);
-  EXPECT_THROW(m.multiply(std::vector<double>{1.0}), std::invalid_argument);
-  EXPECT_THROW(m.multiply_transposed(std::vector<double>{1.0, 2.0, 3.0}),
+  Vector y(2);
+  EXPECT_THROW(m.multiply(std::vector<double>{1.0}, y),
                std::invalid_argument);
+  Vector short_y(1);
+  EXPECT_THROW(m.multiply(std::vector<double>{1.0, 2.0, 3.0}, short_y),
+               std::invalid_argument);
+  // The kernel's operands are restrict-qualified: overlap is rejected.
+  Matrix square(2, 2);
+  Vector xy{1.0, 2.0};
+  EXPECT_THROW(square.multiply(xy, xy), std::invalid_argument);
 }
 
-TEST(MatrixTest, MultiplyTransposedMatchesExplicitTranspose) {
+TEST(MatrixTest, BackpropUpdateInputGradIsTransposeProduct) {
   Matrix m(2, 3);
   m(0, 0) = 1; m(0, 1) = 2; m(0, 2) = 3;
   m(1, 0) = 4; m(1, 1) = 5; m(1, 2) = 6;
-  // m^T * [1, 2]^T = [9, 12, 15]
-  const Vector y = m.multiply_transposed(std::vector<double>{1.0, 2.0});
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[0], 9.0);
-  EXPECT_DOUBLE_EQ(y[1], 12.0);
-  EXPECT_DOUBLE_EQ(y[2], 15.0);
+  // Pre-update m^T * [1, 2]^T = [9, 12, 15], whatever the update does.
+  Vector input_grad(3, 0.0);
+  m.backprop_update(std::vector<double>{1.0, 2.0},
+                    std::vector<double>{0.5, -1.0, 2.0}, 0.25, input_grad);
+  EXPECT_DOUBLE_EQ(input_grad[0], 9.0);
+  EXPECT_DOUBLE_EQ(input_grad[1], 12.0);
+  EXPECT_DOUBLE_EQ(input_grad[2], 15.0);
 }
 
-TEST(MatrixTest, AddOuterAccumulates) {
-  Matrix m(2, 2, 0.0);
-  m.add_outer(std::vector<double>{1.0, 2.0}, std::vector<double>{3.0, 4.0},
-              0.5);
-  EXPECT_DOUBLE_EQ(m(0, 0), 1.5);
-  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
-  EXPECT_DOUBLE_EQ(m(1, 1), 4.0);
+TEST(MatrixTest, BackpropUpdateAppliesScaledOuterProduct) {
+  // Eq. 8: A(r, c) -= learning_rate * delta[r] * x[c]; rows with
+  // delta == 0 stay untouched and add nothing to input_grad.
+  Matrix m(3, 2, 1.0);
+  Vector input_grad(2, 0.0);
+  m.backprop_update(std::vector<double>{1.0, 0.0, 2.0},
+                    std::vector<double>{3.0, 4.0}, 0.5, input_grad);
+  EXPECT_DOUBLE_EQ(m(0, 0), 1.0 - 0.5 * 3.0);
+  EXPECT_DOUBLE_EQ(m(0, 1), 1.0 - 0.5 * 4.0);
+  EXPECT_DOUBLE_EQ(m(1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(m(1, 1), 1.0);
+  EXPECT_DOUBLE_EQ(m(2, 0), 1.0 - 0.5 * 6.0);
+  EXPECT_DOUBLE_EQ(m(2, 1), 1.0 - 0.5 * 8.0);
+  EXPECT_DOUBLE_EQ(input_grad[0], 3.0);
+  EXPECT_DOUBLE_EQ(input_grad[1], 3.0);
 }
 
-TEST(MatrixTest, AddOuterShapeMismatchThrows) {
+TEST(MatrixTest, BackpropUpdateShapeMismatchThrows) {
   Matrix m(2, 2);
-  EXPECT_THROW(
-      m.add_outer(std::vector<double>{1.0}, std::vector<double>{1.0, 2.0}, 1.0),
-      std::invalid_argument);
-}
-
-TEST(MatrixTest, AddScaled) {
-  Matrix a(1, 2, 1.0);
-  Matrix b(1, 2, 2.0);
-  a.add_scaled(b, -0.5);
-  EXPECT_DOUBLE_EQ(a(0, 0), 0.0);
-  Matrix wrong(2, 1);
-  EXPECT_THROW(a.add_scaled(wrong, 1.0), std::invalid_argument);
+  Vector input_grad(2, 0.0);
+  EXPECT_THROW(m.backprop_update(std::vector<double>{1.0},
+                                 std::vector<double>{1.0, 2.0}, 0.1,
+                                 input_grad),
+               std::invalid_argument);
+  EXPECT_THROW(m.backprop_update(std::vector<double>{1.0, 2.0},
+                                 std::vector<double>{1.0}, 0.1, input_grad),
+               std::invalid_argument);
+  Vector short_grad(1, 0.0);
+  EXPECT_THROW(m.backprop_update(std::vector<double>{1.0, 2.0},
+                                 std::vector<double>{1.0, 2.0}, 0.1,
+                                 short_grad),
+               std::invalid_argument);
+  Vector shared{1.0, 2.0};
+  EXPECT_THROW(m.backprop_update(std::vector<double>{1.0, 2.0}, shared, 0.1,
+                                 shared),
+               std::invalid_argument);
 }
 
 TEST(MatrixTest, XavierWithinLimit) {
@@ -125,8 +145,8 @@ TEST(MatrixTest, MultiplyAccumulatesInDoublePrecision) {
   Matrix m(1, 2);
   m(0, 0) = 1.0;
   m(0, 1) = tiny;
-  const Vector y = m.multiply(std::vector<double>{1.0, 1.0});
-  ASSERT_EQ(y.size(), 1u);
+  Vector y(1);
+  m.multiply(std::vector<double>{1.0, 1.0}, y);
   EXPECT_GT(y[0], 1.0);
   EXPECT_DOUBLE_EQ(y[0] - 1.0, tiny);
 }
@@ -147,8 +167,9 @@ TEST(MatrixTest, MultiplyBatchMatchesMultiplyBitExact) {
     const Matrix out = weights.multiply_batch(inputs);
     ASSERT_EQ(out.rows(), batch);
     ASSERT_EQ(out.cols(), 7u);
+    Vector y(7);
     for (std::size_t n = 0; n < batch; ++n) {
-      const Vector y = weights.multiply(inputs.row(n));
+      weights.multiply(inputs.row(n), y);
       for (std::size_t r = 0; r < 7; ++r) {
         EXPECT_EQ(out(n, r), y[r]) << "batch " << batch << " row " << n;
       }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dnn/optimizer.hpp"
+#include "dnn/loss.hpp"
 
 namespace corp::dnn {
 namespace {
@@ -59,11 +59,14 @@ TEST(NetworkTest, ForwardDeterministic) {
 TEST(NetworkTest, TrainSampleRejectsWrongTargetSize) {
   util::Rng rng(1);
   Network net(paper_config(), rng);
-  EXPECT_THROW(net.train_sample(std::vector<double>(12, 0.1),
-                                std::vector<double>{1.0, 2.0}),
+  EXPECT_THROW(net.train_step(std::vector<double>(12, 0.1),
+                              std::vector<double>{1.0, 2.0}, 0.05),
                std::invalid_argument);
 }
 
+// The update train_step applies to every layer, (W_before - W_after) / mu,
+// must match central differences of the whole network's loss taken at
+// the pre-update weights.
 TEST(NetworkTest, FullNetworkGradientCheck) {
   util::Rng rng(13);
   NetworkConfig config;
@@ -74,13 +77,14 @@ TEST(NetworkTest, FullNetworkGradientCheck) {
   Network net(config, rng);
   const std::vector<double> input{0.2, -0.4, 0.9};
   const std::vector<double> target{0.3, 0.7};
+  constexpr double kRate = 0.1;
 
-  net.zero_grad();
-  net.train_sample(input, target);
+  Network before = net;
+  net.train_step(input, target, kRate);
 
   const double h = 1e-6;
-  for (std::size_t li = 0; li < net.layer_count(); ++li) {
-    DenseLayer& layer = net.layer(li);
+  for (std::size_t li = 0; li < before.layer_count(); ++li) {
+    DenseLayer& layer = before.layer(li);
     // Check a handful of weights per layer (corner + middle).
     const std::size_t rows = layer.outputs();
     const std::size_t cols = layer.inputs();
@@ -89,11 +93,12 @@ TEST(NetworkTest, FullNetworkGradientCheck) {
     for (const auto& [r, c] : picks) {
       const double orig = layer.weights()(r, c);
       layer.weights()(r, c) = orig + h;
-      const double lp = mse(net.predict(input), target);
+      const double lp = mse(before.predict(input), target);
       layer.weights()(r, c) = orig - h;
-      const double lm = mse(net.predict(input), target);
+      const double lm = mse(before.predict(input), target);
       layer.weights()(r, c) = orig;
-      EXPECT_NEAR(layer.grad_weights()(r, c), (lp - lm) / (2 * h), 1e-5)
+      const double applied = (orig - net.layer(li).weights()(r, c)) / kRate;
+      EXPECT_NEAR(applied, (lp - lm) / (2 * h), 1e-5)
           << "layer " << li << " weight (" << r << "," << c << ")";
     }
   }
@@ -108,17 +113,13 @@ TEST(NetworkTest, LearnsXorShapedProblem) {
   config.hidden_units = 8;
   config.output_size = 1;
   Network net(config, rng);
-  SgdOptimizer opt(0.3);
-  opt.bind(net.layer_pointers());
 
   const double xs[4][2] = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const double ys[4] = {0, 1, 1, 0};
   for (int epoch = 0; epoch < 2000; ++epoch) {
     for (int s = 0; s < 4; ++s) {
-      net.zero_grad();
-      net.train_sample(std::vector<double>{xs[s][0], xs[s][1]},
-                       std::vector<double>{ys[s]});
-      opt.step();
+      net.train_step(std::vector<double>{xs[s][0], xs[s][1]},
+                     std::vector<double>{ys[s]}, 0.3);
     }
   }
   for (int s = 0; s < 4; ++s) {

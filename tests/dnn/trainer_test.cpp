@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "dnn/loss.hpp"
+
 namespace corp::dnn {
 namespace {
 
@@ -30,11 +32,13 @@ TEST(DatasetTest, ChronologicalValidationSplit) {
     d.inputs.push_back({static_cast<double>(i)});
     d.targets.push_back({static_cast<double>(i)});
   }
-  const auto [train, val] = d.split_validation(0.3);
-  EXPECT_EQ(train.size(), 7u);
-  EXPECT_EQ(val.size(), 3u);
-  // Validation must be the chronological tail (no future leakage).
-  EXPECT_DOUBLE_EQ(val.inputs[0][0], 7.0);
+  // Validation must be the chronological tail (no future leakage):
+  // samples 0..6 train, 7..9 validate.
+  EXPECT_EQ(d.validation_start(0.3), 7u);
+  EXPECT_DOUBLE_EQ(d.inputs[d.validation_start(0.3)][0], 7.0);
+  // The hold-out is clamped to 90%, so at least one sample trains.
+  EXPECT_EQ(d.validation_start(1.0), 1u);
+  EXPECT_EQ(d.validation_start(-1.0), 10u);
 }
 
 TEST(WindowedDatasetTest, ShapesAndTargets) {
@@ -75,7 +79,6 @@ TEST(TrainerTest, ReducesValidationLoss) {
   net_config.hidden_layers = 2;
   net_config.hidden_units = 12;
   Network net(net_config, rng);
-  SgdOptimizer opt(0.1);
 
   TrainerConfig config;
   config.max_epochs = 30;
@@ -83,7 +86,7 @@ TEST(TrainerTest, ReducesValidationLoss) {
   Trainer trainer(config, rng);
   const Dataset data = sine_dataset(300);
   const double before = Trainer::evaluate(net, data);
-  const TrainReport report = trainer.fit(net, opt, data);
+  const TrainReport report = trainer.fit(net, 0.1, data);
   const double after = Trainer::evaluate(net, data);
   EXPECT_LT(after, before);
   EXPECT_GT(report.epochs_run, 0u);
@@ -98,14 +101,13 @@ TEST(TrainerTest, PatienceStopsEarly) {
   net_config.hidden_layers = 1;
   net_config.hidden_units = 4;
   Network net(net_config, rng);
-  SgdOptimizer opt(0.05);
   TrainerConfig config;
   config.max_epochs = 200;
   config.patience = 2;
   config.min_delta = 1e-3;  // coarse: plateaus trigger quickly
   config.pretrain_epochs = 0;
   Trainer trainer(config, rng);
-  const TrainReport report = trainer.fit(net, opt, sine_dataset(150));
+  const TrainReport report = trainer.fit(net, 0.05, sine_dataset(150));
   EXPECT_TRUE(report.converged);
   EXPECT_LT(report.epochs_run, 200u);
 }
@@ -117,13 +119,12 @@ TEST(TrainerTest, PretrainingDoesNotBreakTraining) {
   net_config.hidden_layers = 2;
   net_config.hidden_units = 10;
   Network net(net_config, rng);
-  SgdOptimizer opt(0.1);
   TrainerConfig config;
   config.max_epochs = 20;
   config.pretrain_epochs = 3;
   Trainer trainer(config, rng);
   const Dataset data = sine_dataset(200);
-  const TrainReport report = trainer.fit(net, opt, data);
+  const TrainReport report = trainer.fit(net, 0.1, data);
   EXPECT_LT(report.best_validation_loss, 0.05);
 }
 
@@ -132,9 +133,8 @@ TEST(TrainerTest, EmptyDatasetIsNoop) {
   NetworkConfig net_config;
   net_config.input_size = 2;
   Network net(net_config, rng);
-  SgdOptimizer opt(0.1);
   Trainer trainer({}, rng);
-  const TrainReport report = trainer.fit(net, opt, Dataset{});
+  const TrainReport report = trainer.fit(net, 0.1, Dataset{});
   EXPECT_EQ(report.epochs_run, 0u);
 }
 
@@ -143,11 +143,42 @@ TEST(TrainerTest, InconsistentDatasetThrows) {
   NetworkConfig net_config;
   net_config.input_size = 2;
   Network net(net_config, rng);
-  SgdOptimizer opt(0.1);
   Trainer trainer({}, rng);
   Dataset bad;
   bad.inputs.push_back({1.0, 2.0});
-  EXPECT_THROW(trainer.fit(net, opt, bad), std::invalid_argument);
+  EXPECT_THROW(trainer.fit(net, 0.1, bad), std::invalid_argument);
+}
+
+TEST(TrainerTest, RejectsNonPositiveLearningRate) {
+  util::Rng rng(5);
+  NetworkConfig net_config;
+  net_config.input_size = 6;
+  Network net(net_config, rng);
+  Trainer trainer({}, rng);
+  const Dataset data = sine_dataset(50);
+  EXPECT_THROW(trainer.fit(net, 0.0, data), std::invalid_argument);
+  EXPECT_THROW(trainer.fit(net, -0.1, data), std::invalid_argument);
+}
+
+// evaluate() runs one batched forward pass in chunks; each row is
+// bit-identical to predict() and the losses are summed in sample order,
+// so it must equal the per-sample sweep exactly. 2500 rows cross two
+// chunk boundaries.
+TEST(TrainerTest, EvaluateMatchesPerSampleSweep) {
+  util::Rng rng(9);
+  NetworkConfig net_config;
+  net_config.input_size = 6;
+  net_config.hidden_layers = 2;
+  net_config.hidden_units = 7;
+  Network net(net_config, rng);
+  const Dataset data = sine_dataset(2507);
+  ASSERT_EQ(data.size(), 2500u);
+  double total = 0.0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    total += mse(net.predict(data.inputs[i]), data.targets[i]);
+  }
+  EXPECT_EQ(Trainer::evaluate(net, data),
+            total / static_cast<double>(data.size()));
 }
 
 }  // namespace
