@@ -5,7 +5,9 @@
 //
 // Three phases, each feeding the metrics record bench-smoke-style:
 //   1. ingest   — timed full-file streaming parse; publishes the
-//                 trace.* counters and the trace.rows_per_second gauge;
+//                 trace.* counters, the trace.rows_per_second gauge and
+//                 the reader's own split of that time
+//                 (trace.parse_wait_seconds, trace.assemble_seconds);
 //   2. differential — re-ingests the file serially with different chunk
 //                 boundaries and compares a running hash of the emitted
 //                 job stream against phase 1 (the parallel==serial
@@ -281,6 +283,8 @@ void publish_trace_metrics(const trace::StreamStats& stats, double rows_per_sec)
   obs::set_gauge("trace.peak_open_tasks",
                  static_cast<double>(stats.peak_open_tasks));
   obs::set_gauge("trace.rows_per_second", rows_per_sec);
+  obs::set_gauge("trace.parse_wait_seconds", stats.parse_wait_seconds);
+  obs::set_gauge("trace.assemble_seconds", stats.assemble_seconds);
 }
 
 }  // namespace

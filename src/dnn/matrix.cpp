@@ -1,7 +1,6 @@
 #include "dnn/matrix.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -319,18 +318,6 @@ Matrix Matrix::xavier(std::size_t rows, std::size_t cols, util::Rng& rng) {
   const double limit = std::sqrt(6.0 / static_cast<double>(rows + cols));
   for (double& x : m.data_) x = rng.uniform(-limit, limit);
   return m;
-}
-
-void axpy(double a, std::span<const double> x, std::span<double> y) {
-  assert(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  assert(a.size() == b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
 }
 
 }  // namespace corp::dnn

@@ -79,8 +79,4 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Element-wise helpers used throughout training.
-void axpy(double a, std::span<const double> x, std::span<double> y);
-double dot(std::span<const double> a, std::span<const double> b);
-
 }  // namespace corp::dnn

@@ -9,16 +9,19 @@
 #include <array>
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <limits>
-#include <queue>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "trace/resampler.hpp"
 #include "util/rng.hpp"
@@ -350,6 +353,10 @@ ChunkOut parse_chunk(const char* window, std::uint64_t window_offset,
                      std::uint64_t file_size,
                      const StreamReaderConfig& config) {
   ChunkOut out;
+  // Real rows of both schemas are wider than 32 bytes (Azure ~42, Google
+  // ~70), so this one reservation covers the chunk; shorter rows only
+  // grow the vector.
+  out.rows.reserve(static_cast<std::size_t>((chunk_end - chunk_begin) / 32));
   const auto at = [&](std::uint64_t off) -> char {
     return window[off - window_offset];
   };
@@ -365,18 +372,23 @@ ChunkOut parse_chunk(const char* window, std::uint64_t window_offset,
     const std::uint64_t local_line = out.lines;
     const std::uint64_t limit =
         std::min<std::uint64_t>(file_size, pos + kMaxLineBytes + 1);
-    std::uint64_t eol = pos;
-    while (eol < limit && at(eol) != '\n') ++eol;
+    const char* const line_begin = window + (pos - window_offset);
+    const auto* const newline = static_cast<const char*>(std::memchr(
+        line_begin, '\n', static_cast<std::size_t>(limit - pos)));
+    const std::uint64_t eol =
+        newline == nullptr
+            ? limit
+            : pos + static_cast<std::uint64_t>(newline - line_begin);
     if (eol == limit && limit < file_size) {
       const std::uint64_t preview = std::min<std::uint64_t>(32, limit - pos);
       defer_error(out, local_line, "row",
-                  std::string_view(window + (pos - window_offset),
+                  std::string_view(line_begin,
                                    static_cast<std::size_t>(preview)),
                   "line exceeds max_line_bytes (" +
                       std::to_string(kMaxLineBytes) + ")");
       break;
     }
-    std::string_view line(window + (pos - window_offset), eol - pos);
+    std::string_view line(line_begin, static_cast<std::size_t>(eol - pos));
     pos = eol + 1;
     if (!line.empty() && line.back() == '\r') {
       defer_error(out, local_line, "row", "\\r",
@@ -450,18 +462,53 @@ struct OpenTask {
   std::vector<ResourceVector> windows;
 };
 
-// Lazy close-heap entry; stale entries (the task grew since) are skipped
-// on pop by re-checking last_end_us.
-struct CloseEntry {
+// A task key filed under the close time its task had when the row that
+// filed it was assembled (last_end_us + kCloseGapUs). A task that grows
+// later leaves the entry stale, and a sub-window record files its key
+// twice; drain_closed skips both.
+struct PendingClose {
   std::int64_t close_at_us = 0;
-  std::uint64_t key_id = 0;
-  std::uint32_t key_index = 0;
+  TaskKey key;
 };
 
-struct CloseEntryAfter {
-  bool operator()(const CloseEntry& a, const CloseEntry& b) const {
-    return std::tie(a.close_at_us, a.key_id, a.key_index) >
-           std::tie(b.close_at_us, b.key_id, b.key_index);
+// The pending closes whose close time falls in one coarse window. A row's
+// close time lies more than kCloseGapUs past the watermark, which is wider
+// than a window, so no entry joins a window once the watermark has
+// reached it: drain_closed sorts each bucket once, on first reaching it,
+// and then drains it from `next`. Rows that end mid-window give nearly
+// every entry its own close time, so one bucket per close time would
+// cost a map node per row.
+static_assert(kWindowUs <= kCloseGapUs);
+struct CloseBucket {
+  std::vector<PendingClose> entries;
+  std::size_t next = 0;
+  bool sorted = false;
+};
+
+// Index of the coarse window holding `us` (floor division).
+std::int64_t window_of(std::int64_t us) {
+  return us / kWindowUs - (us % kWindowUs < 0 ? 1 : 0);
+}
+
+// Adds the seconds since `start` to `total` (the reader's own timers).
+void add_elapsed(double& total, std::chrono::steady_clock::time_point start) {
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  total += elapsed.count();
+}
+
+// Waits out every parse task before the batch frame unwinds: the tasks
+// read the mapped window, which unmaps when the frame does, and a merge
+// can throw while later chunks still parse.
+struct ParseTasks {
+  std::vector<std::future<ChunkOut>> futures;
+  ParseTasks() = default;
+  ParseTasks(const ParseTasks&) = delete;
+  ParseTasks& operator=(const ParseTasks&) = delete;
+  ~ParseTasks() {
+    for (auto& f : futures) {
+      if (f.valid()) f.wait();
+    }
   }
 };
 
@@ -500,8 +547,8 @@ struct StreamReader::Impl {
   std::int64_t watermark_us = 0;
   std::uint64_t next_job_id = 0;
   std::unordered_map<TaskKey, OpenTask, TaskKeyHash> open;
-  std::priority_queue<CloseEntry, std::vector<CloseEntry>, CloseEntryAfter>
-      close_heap;
+  // Pending closes bucketed by the window_of() their close time.
+  std::map<std::int64_t, CloseBucket> closing;
   std::vector<Job> ready;
 
   Impl(StreamReader* owner_in, StreamReaderConfig config_in,
@@ -642,19 +689,46 @@ struct StreamReader::Impl {
     }
   }
 
+  // The open task an entry names, or open.end() once the entry is stale.
+  auto live_task(const PendingClose& entry) {
+    const auto it = open.find(entry.key);
+    if (it != open.end() &&
+        it->second.last_end_us + kCloseGapUs != entry.close_at_us) {
+      return open.end();
+    }
+    return it;
+  }
+
+  // Emits and erases every open task whose close time is at or below the
+  // watermark, in (close time, id, index) order.
   void drain_closed(std::int64_t up_to_watermark_us) {
-    while (!close_heap.empty() &&
-           close_heap.top().close_at_us <= up_to_watermark_us) {
-      const CloseEntry entry = close_heap.top();
-      close_heap.pop();
-      const TaskKey key{entry.key_id, entry.key_index};
-      auto it = open.find(key);
-      if (it == open.end()) continue;
-      if (it->second.last_end_us + kCloseGapUs != entry.close_at_us) {
-        continue;  // stale: the task grew after this entry was pushed
+    const std::int64_t up_to_window = window_of(up_to_watermark_us);
+    while (!closing.empty() && closing.begin()->first <= up_to_window) {
+      CloseBucket& bucket = closing.begin()->second;
+      if (!bucket.sorted) {
+        // A stale entry never turns live again, so drop those now and
+        // sort only the rest.
+        std::erase_if(bucket.entries, [this](const PendingClose& entry) {
+          return live_task(entry) == open.end();
+        });
+        std::sort(bucket.entries.begin(), bucket.entries.end(),
+                  [](const PendingClose& a, const PendingClose& b) {
+                    return std::tie(a.close_at_us, a.key.id, a.key.index) <
+                           std::tie(b.close_at_us, b.key.id, b.key.index);
+                  });
+        bucket.sorted = true;
       }
-      emit(key, it->second);
-      open.erase(it);
+      for (; bucket.next < bucket.entries.size(); ++bucket.next) {
+        const PendingClose& entry = bucket.entries[bucket.next];
+        if (entry.close_at_us > up_to_watermark_us) return;
+        // Re-checked: the task may have grown, or a duplicate entry may
+        // have emitted it already.
+        const auto it = live_task(entry);
+        if (it == open.end()) continue;
+        emit(entry.key, it->second);
+        open.erase(it);
+      }
+      closing.erase(closing.begin());
     }
   }
 
@@ -670,8 +744,12 @@ struct StreamReader::Impl {
                  "out-of-order timestamp (watermark " +
                      std::to_string(watermark_us) + " us)");
     }
-    watermark_us = std::max(watermark_us, row.start_us);
-    drain_closed(watermark_us);
+    // Every pending close lies past the watermark it was filed at, so
+    // only a moving watermark can close a task.
+    if (row.start_us > watermark_us) {
+      watermark_us = row.start_us;
+      drain_closed(watermark_us);
+    }
 
     const TaskKey key{row.key_id, row.key_index};
     auto [it, inserted] = open.try_emplace(key);
@@ -705,8 +783,15 @@ struct StreamReader::Impl {
       }
     }
     task.last_end_us = std::max(task.last_end_us, row.end_us);
-    close_heap.push(CloseEntry{task.last_end_us + kCloseGapUs, key.id,
-                               key.index});
+    const std::int64_t close_at = task.last_end_us + kCloseGapUs;
+    const std::int64_t window = window_of(close_at);
+    // Rows arrive start-sorted, so the entry usually joins the newest
+    // bucket.
+    auto bucket = closing.empty() ? closing.end() : std::prev(closing.end());
+    if (bucket == closing.end() || bucket->first != window) {
+      bucket = closing.try_emplace(window).first;
+    }
+    bucket->second.entries.push_back(PendingClose{close_at, key});
   }
 
   // Lower bound on any future emission's submit slot: the watermark
@@ -733,12 +818,31 @@ struct StreamReader::Impl {
   }
 
   void flush_all() {
+    const auto start = std::chrono::steady_clock::now();
     drain_closed(std::numeric_limits<std::int64_t>::max());
+    add_elapsed(owner->stats_.assemble_seconds, start);
     if (!open.empty()) {
       throw std::logic_error(
           "read_trace_stream: open tasks survived the final flush");
     }
     owner->exhausted_ = true;
+  }
+
+  // Rebases chunk-local lines to global file lines, assembles the rows and
+  // rethrows the chunk's deferred error: chunks merge in file order, so
+  // the earliest diagnostic wins however the chunks were parsed.
+  void merge_chunk(const ChunkOut& chunk) {
+    for (RawRow row : chunk.rows) {
+      row.line += lines_total;
+      ingest_row(row);
+    }
+    owner->stats_.rows_parsed += chunk.rows.size();
+    ++owner->stats_.chunks_parsed;
+    if (chunk.has_error) {
+      fail_field(lines_total + chunk.error.local_line, chunk.error.column,
+                 chunk.error.value, chunk.error.reason);
+    }
+    lines_total += chunk.lines;
   }
 
   void ingest_batch() {
@@ -757,38 +861,40 @@ struct StreamReader::Impl {
                               owner->path_);
     ++owner->stats_.batches_mapped;
 
-    std::vector<ChunkOut> outs(count);
-    const auto parse_one = [&](std::size_t i) {
+    const auto parse_one = [&](std::uint64_t i) {
       const std::uint64_t begin = (first + i) * config.chunk_bytes;
       const std::uint64_t end =
           std::min<std::uint64_t>(file_size, begin + config.chunk_bytes);
-      outs[i] = parse_chunk(window.data(), map_begin, begin, end, file_size,
-                            config);
+      return parse_chunk(window.data(), map_begin, begin, end, file_size,
+                         config);
     };
-    if (pool != nullptr && pool->size() > 1 && count > 1) {
-      pool->parallel_for(static_cast<std::size_t>(count), parse_one);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) parse_one(i);
-    }
-
-    // Serial in-order merge: rebase chunk-local lines to global file
-    // lines, assemble rows, and rethrow the earliest deferred error —
-    // identical diagnostics whether the chunks parsed serially or not.
-    for (auto& chunk : outs) {
-      for (RawRow& row : chunk.rows) {
-        row.line += lines_total;
-        ingest_row(row);
+    // Chunks merge in file order on this thread. With a pool, every chunk
+    // parses as its own task and chunk k merges while chunks k+1... still
+    // parse; `tasks` is declared after the `window` and `parse_one` its
+    // tasks use, so it drains before either goes away.
+    StreamStats& stats = owner->stats_;
+    ParseTasks tasks;
+    const bool overlap = pool != nullptr && pool->size() > 1 && count > 1;
+    if (overlap) {
+      tasks.futures.reserve(static_cast<std::size_t>(count));
+      for (std::uint64_t i = 0; i < count; ++i) {
+        tasks.futures.push_back(pool->submit([&parse_one, i] {
+          return parse_one(i);
+        }));
       }
-      owner->stats_.rows_parsed += chunk.rows.size();
-      ++owner->stats_.chunks_parsed;
-      if (chunk.has_error) {
-        fail_field(lines_total + chunk.error.local_line, chunk.error.column,
-                   chunk.error.value, chunk.error.reason);
-      }
-      lines_total += chunk.lines;
     }
-    owner->stats_.lines_seen = lines_total;
-    owner->stats_.bytes_read += batch_end - batch_begin;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      auto start = std::chrono::steady_clock::now();
+      const ChunkOut chunk =
+          overlap ? tasks.futures[static_cast<std::size_t>(i)].get()
+                  : parse_one(i);
+      add_elapsed(stats.parse_wait_seconds, start);
+      start = std::chrono::steady_clock::now();
+      merge_chunk(chunk);
+      add_elapsed(stats.assemble_seconds, start);
+    }
+    stats.lines_seen = lines_total;
+    stats.bytes_read += batch_end - batch_begin;
     next_chunk = first + count;
   }
 };

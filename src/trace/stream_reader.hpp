@@ -9,8 +9,10 @@
 // Bounded-memory contract (docs/traces.md):
 //  * the file is mapped one batch window at a time
 //    (chunks_per_batch * chunk_bytes + kMaxLineBytes + one page) and
-//    unmapped before the next batch, so resident set and virtual address
-//    use stay O(batch), not O(file);
+//    unmapped before the next batch, once every parse task of the batch
+//    has finished; each chunk's parsed rows are freed as soon as they
+//    merge, so resident set and virtual address use stay O(batch), not
+//    O(file);
 //  * per-task assembly state is one coarse window vector per *open* task,
 //    closed and emitted as soon as the row watermark passes the task's
 //    last window by two coarse windows (long tasks are dropped or
@@ -102,8 +104,8 @@ struct StreamReaderConfig {
   std::uint64_t seed = 42;
 };
 
-/// Ingestion counters, exported by bench/trace_replay and corpsim as
-/// trace.* metrics (corp_trace deliberately does not link corp_obs).
+/// Ingestion counters, exported by bench/trace_replay as trace.* metrics
+/// (corp_trace deliberately does not link corp_obs).
 struct StreamStats {
   std::uint64_t file_bytes = 0;
   std::uint64_t bytes_read = 0;
@@ -117,6 +119,13 @@ struct StreamStats {
   std::uint64_t jobs_segmented = 0;
   std::uint64_t gap_fills = 0;
   std::uint64_t peak_open_tasks = 0;
+  /// The reader's own wall-clock timers; they never feed a decision.
+  /// Seconds the caller spent parsing chunks itself or waiting on parse
+  /// tasks.
+  double parse_wait_seconds = 0.0;
+  /// Seconds spent merging parsed rows: window assembly, closing, emitting
+  /// and resampling tasks.
+  double assemble_seconds = 0.0;
 };
 
 /// Pull-based streaming reader. Call advance() to ingest the next batch,
@@ -125,8 +134,9 @@ struct StreamStats {
 /// future job can be submitted before it).
 class StreamReader {
  public:
-  /// Opens and maps metadata for `path`. `pool` parallelizes per-chunk
-  /// parsing when it has more than one worker; results are bit-identical
+  /// Opens and maps metadata for `path`. `pool` parses a batch's chunks
+  /// as concurrent tasks when it has more than one worker, each chunk
+  /// merging while later ones still parse; results are bit-identical
   /// with and without it. Throws std::runtime_error when the file cannot
   /// be opened or its first line carries an unknown #corp-trace
   /// directive.

@@ -126,16 +126,6 @@ TEST(MatrixTest, XavierNotAllZero) {
   EXPECT_GT(sum_abs, 0.0);
 }
 
-TEST(VectorOpsTest, AxpyAndDot) {
-  std::vector<double> y{1.0, 2.0};
-  axpy(2.0, std::vector<double>{3.0, 4.0}, y);
-  EXPECT_DOUBLE_EQ(y[0], 7.0);
-  EXPECT_DOUBLE_EQ(y[1], 10.0);
-  EXPECT_DOUBLE_EQ(
-      dot(std::vector<double>{1.0, 2.0}, std::vector<double>{3.0, 4.0}),
-      11.0);
-}
-
 TEST(MatrixTest, MultiplyAccumulatesInDoublePrecision) {
   // Width-regression canary for the -Wconversion / CORP-FLT-001 wall:
   // the multiply accumulator must stay double. A narrowed float
@@ -181,15 +171,6 @@ TEST(MatrixTest, MultiplyBatchDimensionMismatchThrows) {
   Matrix m(2, 3);
   Matrix narrow(4, 2);
   EXPECT_THROW(m.multiply_batch(narrow), std::invalid_argument);
-}
-
-TEST(VectorOpsTest, DotKeepsDoublePrecision) {
-  // Same canary for the shared dot() kernel used by the DNN layers.
-  const double tiny = std::ldexp(1.0, -40);
-  const double s = dot(std::vector<double>{1.0, tiny},
-                       std::vector<double>{1.0, 1.0});
-  EXPECT_GT(s, 1.0);
-  EXPECT_DOUBLE_EQ(s - 1.0, tiny);
 }
 
 }  // namespace

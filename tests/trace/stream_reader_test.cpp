@@ -467,6 +467,56 @@ TEST(StreamReaderTest, DiagnosticsAreChunkingInvariant) {
   parallel.chunk_bytes = 1536;
   parallel.chunks_per_batch = 3;
   EXPECT_EQ(stream_error(path, parallel, &pool), reference);
+
+  // With a pool each chunk of a batch parses as its own task and chunk k
+  // merges while later chunks still parse, so a merge can throw with
+  // tasks in flight. Chunks of 1536 bytes, eight to a batch, keep both
+  // errors of each file below inside the first batch.
+  StreamReaderConfig overlapped;
+  overlapped.chunk_bytes = 1536;
+  overlapped.chunks_per_batch = 8;
+  util::ThreadPool two(2);
+  const auto rows = [](std::int64_t window, std::uint64_t first_id,
+                       std::uint64_t n) {
+    std::string out;
+    const std::int64_t start = kEpochUs + window * kWindowUs;
+    for (std::uint64_t id = first_id; id < first_id + n; ++id) {
+      out += testfix::google_row(start, start + kWindowUs, id, 0.010, 0.008,
+                                 0.0005);
+    }
+    return out;
+  };
+
+  // Chunk 0 holds an out-of-order timestamp (line 12), which the merge
+  // throws; chunk 3 holds a malformed field that parsed on a worker.
+  const std::string order_first =
+      "#corp-trace schema=google-v2\n" + rows(1, 100, 10) + rows(0, 500, 1) +
+      rows(1, 110, 60) +
+      "600000000,900000000,12,0,12,banana,0.008,0,0,0,0,0,0.0005\n" +
+      rows(2, 200, 60);
+  ASSERT_GT(order_first.find("banana"), 2u * 1536u);
+  ASSERT_LT(order_first.find("banana"), 8u * 1536u);
+  const std::string order_path =
+      write_file("stream_error_overlap_order.csv", order_first);
+  const std::string order_serial = stream_error(order_path, overlapped);
+  EXPECT_NE(order_serial.find("line 12"), std::string::npos) << order_serial;
+  EXPECT_NE(order_serial.find("out-of-order timestamp"), std::string::npos)
+      << order_serial;
+  EXPECT_EQ(stream_error(order_path, {}), order_serial);
+  EXPECT_EQ(stream_error(order_path, overlapped, &two), order_serial);
+
+  // A malformed row in chunk 0 (line 7) while the clean chunks after it
+  // are still parsing.
+  const std::string bad_first = "#corp-trace schema=google-v2\n" +
+                                rows(0, 1, 5) + "not,a,valid,row\n" +
+                                rows(0, 6, 60) + rows(1, 70, 60);
+  const std::string bad_path =
+      write_file("stream_error_overlap_chunk0.csv", bad_first);
+  const std::string bad_serial = stream_error(bad_path, overlapped);
+  EXPECT_NE(bad_serial.find("line 7"), std::string::npos) << bad_serial;
+  EXPECT_NE(bad_serial.find("too few columns"), std::string::npos)
+      << bad_serial;
+  EXPECT_EQ(stream_error(bad_path, overlapped, &two), bad_serial);
 }
 
 }  // namespace
