@@ -2,9 +2,12 @@
 // budget of Figs. 10/14, centred on the batched prediction engine: the
 // same trained DNN is timed one row at a time (the pre-batching call
 // pattern) and through predict_batch's blocked GEMM at the batch sizes
-// the simulator actually gathers, alongside the raw Matrix kernels, one
-// per-sample SGD training step (bench.dnn_sgd_step, microseconds per step
-// in the bench.dnn_sgd_step_us gauge) and the baseline predictors. Every
+// the simulator actually gathers, alongside the raw Matrix kernels (one
+// 50x50 per-sample gemv in nanoseconds in the bench.dnn_gemv_50x50_ns
+// gauge), one per-sample SGD training step (bench.dnn_sgd_step,
+// microseconds per step in the bench.dnn_sgd_step_us gauge), one
+// per-sample forward pass (bench.dnn_forward_step, microseconds in the
+// bench.dnn_forward_step_us gauge) and the baseline predictors. Every
 // batched result is checked bit-identical to the scalar sweep before it
 // is timed.
 //
@@ -76,7 +79,9 @@ int main(int argc, char** argv) {
   bench::BenchTimer total;
   std::size_t points = 0;
   double sink = 0.0;  // keeps the timed kernels observable
+  double gemv_ns = 0.0;
   double sgd_us_per_step = 0.0;
+  double forward_us_per_step = 0.0;
 
   // --- DNN forward: scalar call pattern vs one blocked GEMM -------------
   util::Rng rng(opts.seed);
@@ -185,6 +190,8 @@ int main(int argc, char** argv) {
       }
     }
     const std::size_t rows = kReps * inputs.rows();
+    gemv_ns = scalar_ms * 1e6 / static_cast<double>(rows);
+    obs::set_gauge("bench.dnn_gemv_50x50_ns", gemv_ns);
     table.add_row("matrix_50x50",
                   {static_cast<double>(inputs.rows()), rate(rows, scalar_ms),
                    rate(rows, batch_ms),
@@ -194,7 +201,9 @@ int main(int argc, char** argv) {
 
   // --- DNN training: one per-sample SGD step (Eq. 5-8) ------------------
   // The fused train_step() on the Table II net, cycling over a fixed set
-  // of samples; the figure is microseconds per step, best of kRounds.
+  // of samples; the figure is microseconds per step, best of kRounds. The
+  // per-sample forward pass that opens every step is timed on its own,
+  // over the same samples, after the steps.
   {
     util::Rng srng(opts.seed + 5);
     dnn::Network net(dnn::NetworkConfig{}, srng);
@@ -223,6 +232,23 @@ int main(int argc, char** argv) {
     sgd_us_per_step = step_ms * 1e3 / static_cast<double>(kSteps);
     obs::set_gauge("bench.dnn_sgd_step_us", sgd_us_per_step);
     table.add_row("dnn_sgd_step", {1.0, rate(kSteps, step_ms), 0.0, 0.0});
+    ++points;
+
+    double forward_ms = std::numeric_limits<double>::infinity();
+    {
+      obs::ScopedTimer timer("bench.dnn_forward_step");
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        bench::BenchTimer t;
+        for (std::size_t step = 0; step < kSteps; ++step) {
+          sink += net.forward(inputs[step % kSamples]).front();
+        }
+        forward_ms = std::min(forward_ms, t.elapsed_ms());
+      }
+    }
+    forward_us_per_step = forward_ms * 1e3 / static_cast<double>(kSteps);
+    obs::set_gauge("bench.dnn_forward_step_us", forward_us_per_step);
+    table.add_row("dnn_forward_step",
+                  {1.0, rate(kSteps, forward_ms), 0.0, 0.0});
     ++points;
   }
 
@@ -258,7 +284,9 @@ int main(int argc, char** argv) {
   }
 
   std::cout << table.to_string() << "dnn_sgd_step " << sgd_us_per_step
-            << " us/step\nchecksum " << sink << "\n\n";
+            << " us/step\ndnn_forward_step " << forward_us_per_step
+            << " us/step\ndnn_gemv_50x50 " << gemv_ns << " ns/call\n";
+  std::cout << "checksum " << sink << "\n\n";
   bench::finish(opts, "micro_kernels", total, points, /*threads=*/1);
   return 0;
 }

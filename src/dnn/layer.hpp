@@ -47,10 +47,22 @@ class DenseLayer {
   const Vector& backward_step(std::span<const double> output_grad,
                               double learning_rate);
 
+  /// backward_step() for a caller that discards dLoss/dInput (the first
+  /// layer of a network, a pretraining encoder): the same Eq. 6-8
+  /// update, leaving weights and biases bit-identical, without the
+  /// W^T delta sweep.
+  void update_step(std::span<const double> output_grad, double learning_rate);
+
   /// Number of trainable parameters.
   std::size_t parameter_count() const;
 
  private:
+  /// Checks a step's arguments and fills delta_ (Eq. 6/7).
+  void compute_delta(std::span<const double> output_grad,
+                     double learning_rate);
+  /// e -= learning_rate * delta (Eq. 8 for the biases).
+  void update_bias(double learning_rate);
+
   Matrix weights_;        // outputs x inputs
   Vector bias_;           // outputs
   Activation activation_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
 
@@ -35,21 +36,34 @@ namespace {
 #endif
 
 // Bit-identity contract of the per-sample kernels. Training is pinned
-// bit for bit by the goldens, so the fused step below must reproduce the
-// three-pass step it replaced (zero the gradient buffers, accumulate
-// delta x^T and W^T delta, then W += (-mu) * G and b -= mu * g_b):
+// bit for bit by the goldens, so the forward gemv must keep the scalar
+// recurrence it replaced, and the fused and update-only steps must
+// reproduce the three-pass step they replaced (zero the gradient
+// buffers, accumulate delta x^T and W^T delta, then W += (-mu) * G and
+// b -= mu * g_b):
 //  - Forward: y[r] is `acc = 0.0; acc += A(r, c) * x[c]` over ascending
-//    c. gemv() interleaves kGemvRows rows so their accumulator chains
-//    overlap, but never reassociates within a row.
+//    c. gemv() vectorizes across rows, never within one: each lane of
+//    an accumulator is one row, it starts at +0.0 and adds that row's
+//    products column by column in ascending order, so every lane runs
+//    the scalar op sequence. The 4x4 transposes only move weights
+//    between registers; they round nothing. A group that overlaps the
+//    previous one (the last group of a row count that is not a multiple
+//    of four) recomputes its shared rows with the same sequence and
+//    stores the same bits.
 //  - No FMA: both target_clones variants ("default" and "avx2") leave
 //    FMA off, so no multiply and add can contract into one rounding and
-//    every SIMD lane performs the scalar op sequence.
+//    every SIMD lane performs the scalar op sequence. An "avx512f"
+//    variant would enable FMA, so there is none.
 //  - Backward: rows run in ascending order and rows with delta[r] == 0
 //    are skipped, as the old accumulate and transpose passes skipped
 //    them. A skipped row's old update added (-mu) * 0.0, which leaves
 //    every weight unchanged. A live row first adds delta[r] * A(r, c)
 //    to input_grad[c] from the pre-update weight, then applies
 //    A(r, c) += (-mu) * (delta[r] * x[c]).
+//  - Update only: update_rows() runs the same row sweep and applies the
+//    same A(r, c) += (-mu) * (delta[r] * x[c]); it just skips the
+//    input_grad sum, which only reads the weights. So it leaves every
+//    weight as backprop_update() does.
 //  - The old update applied (-mu) * (0.0 + delta[r] * x[c]). The two
 //    differ only when the product is -0.0 and the weight is -0.0 too
 //    (the 0.0 + turns -0.0 into +0.0), and the same holds for biases.
@@ -62,40 +76,97 @@ namespace {
 //    weights and the input_grad computed from this layer's pre-update
 //    weights, so the interleaving is invisible.
 
-/// Rows per gemv() block: independent accumulator chains that the core
-/// overlaps, where one row alone is a latency-bound add chain.
-constexpr std::size_t kGemvRows = 4;
+/// Four doubles, one weight row per lane, and the two columns of one row
+/// that a transpose loads at once. The GCC/clang vector extension gives
+/// one source for every target_clones variant and for the TSan build.
+typedef double Lanes __attribute__((vector_size(32)));
+typedef double Half __attribute__((vector_size(16)));
+
+/// y[first[g] + k] = (row first[g] + k of the row-major `a`) . x for
+/// k < 4 and g < G: one accumulator per group of four rows, one row per
+/// lane. Every four columns, each group loads two columns of each row,
+/// pairs rows 0 and 2 and rows 1 and 3 into 256-bit vectors, and unpacks
+/// each pair twice: one vector per column, a 4x4 transpose in four
+/// shuffles. Takes and returns no vector, so no call carries one through
+/// the default target's ABI (-Wpsabi); always_inline compiles it into
+/// each target_clones variant of its caller.
+template <std::size_t G>
+[[gnu::always_inline]] inline void gemv_groups(const double* a,
+                                               std::size_t cols,
+                                               const std::size_t* first,
+                                               const double* x, double* y) {
+  const auto half = [](const double* src) {
+    Half h;
+    std::memcpy(&h, src, sizeof(h));
+    return h;
+  };
+  const double* row[G][4];
+  for (std::size_t g = 0; g < G; ++g) {
+    for (std::size_t k = 0; k < 4; ++k) row[g][k] = a + (first[g] + k) * cols;
+  }
+  Lanes acc[G] = {};
+  std::size_t c = 0;
+  for (; c + 4 <= cols; c += 4) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const double* const* p = row[g];
+      const Lanes t0 =
+          __builtin_shufflevector(half(p[0] + c), half(p[2] + c), 0, 1, 2, 3);
+      const Lanes t1 =
+          __builtin_shufflevector(half(p[1] + c), half(p[3] + c), 0, 1, 2, 3);
+      const Lanes t2 = __builtin_shufflevector(half(p[0] + c + 2),
+                                               half(p[2] + c + 2), 0, 1, 2, 3);
+      const Lanes t3 = __builtin_shufflevector(half(p[1] + c + 2),
+                                               half(p[3] + c + 2), 0, 1, 2, 3);
+      acc[g] += __builtin_shufflevector(t0, t1, 0, 4, 2, 6) * x[c];
+      acc[g] += __builtin_shufflevector(t0, t1, 1, 5, 3, 7) * x[c + 1];
+      acc[g] += __builtin_shufflevector(t2, t3, 0, 4, 2, 6) * x[c + 2];
+      acc[g] += __builtin_shufflevector(t2, t3, 1, 5, 3, 7) * x[c + 3];
+    }
+  }
+  for (; c < cols; ++c) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const double* const* p = row[g];
+      const Lanes column = {p[0][c], p[1][c], p[2][c], p[3][c]};
+      acc[g] += column * x[c];
+    }
+  }
+  for (std::size_t g = 0; g < G; ++g) {
+    std::memcpy(y + first[g], &acc[g], sizeof(Lanes));
+  }
+}
 
 CORP_TARGET_CLONES
 void gemv(const double* __restrict a, std::size_t rows, std::size_t cols,
           const double* __restrict x, double* __restrict y) {
-  std::size_t r = 0;
-  for (; r + kGemvRows <= rows; r += kGemvRows) {
-    const double* __restrict a0 = a + r * cols;
-    const double* __restrict a1 = a0 + cols;
-    const double* __restrict a2 = a1 + cols;
-    const double* __restrict a3 = a2 + cols;
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    double acc2 = 0.0;
-    double acc3 = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const double xc = x[c];
-      acc0 += a0[c] * xc;
-      acc1 += a1[c] * xc;
-      acc2 += a2[c] * xc;
-      acc3 += a3[c] * xc;
+  // Without AVX a 256-bit vector has no register: every Lanes value
+  // round-trips through the stack, and the blocks run about four times
+  // slower than the scalar loop. So CPUs without AVX2, the only ones the
+  // "default" variant runs on, keep the scalar recurrence. A build
+  // without clones (TSan) runs the blocks on any AVX2 host, which is how
+  // the sanitizer covers them.
+  if (rows < 4 || !__builtin_cpu_supports("avx2")) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* __restrict row = a + r * cols;
+      double acc = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
+      y[r] = acc;
     }
-    y[r] = acc0;
-    y[r + 1] = acc1;
-    y[r + 2] = acc2;
-    y[r + 3] = acc3;
+    return;
   }
-  for (; r < rows; ++r) {
-    const double* __restrict row = a + r * cols;
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c];
-    y[r] = acc;
+  // Groups of four rows start every four rows, except the last, which
+  // starts at rows - 4 and so overlaps its predecessor unless rows is a
+  // multiple of four. Each block runs two groups, two accumulator chains
+  // the core overlaps (one alone is a latency-bound add chain; four
+  // spill the row pointers and ran slower).
+  const std::size_t groups = (rows + 3) / 4;
+  for (std::size_t g = 0; g < groups; g += 2) {
+    const std::size_t first[2] = {std::min(4 * g, rows - 4),
+                                  std::min(4 * g + 4, rows - 4)};
+    if (g + 1 < groups) {
+      gemv_groups<2>(a, cols, first, x, y);
+    } else {
+      gemv_groups<1>(a, cols, first, x, y);
+    }
   }
 }
 
@@ -112,6 +183,18 @@ void backprop_rows(double* __restrict a, std::size_t rows, std::size_t cols,
       input_grad[c] += d * row[c];
       row[c] += neg_rate * (d * x[c]);
     }
+  }
+}
+
+CORP_TARGET_CLONES
+void update_rows_kernel(double* __restrict a, std::size_t rows,
+                        std::size_t cols, const double* __restrict delta,
+                        const double* __restrict x, double neg_rate) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double d = delta[r];
+    if (d == 0.0) continue;
+    double* __restrict row = a + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) row[c] += neg_rate * (d * x[c]);
   }
 }
 
@@ -148,6 +231,18 @@ void Matrix::backprop_update(std::span<const double> delta,
   }
   backprop_rows(data_.data(), rows_, cols_, delta.data(), x.data(),
                 -learning_rate, input_grad.data());
+}
+
+void Matrix::update_rows(std::span<const double> delta,
+                         std::span<const double> x, double learning_rate) {
+  if (delta.size() != rows_ || x.size() != cols_) {
+    throw std::invalid_argument("Matrix::update_rows: dimension mismatch");
+  }
+  if (overlaps(x, data_) || overlaps(delta, data_)) {
+    throw std::invalid_argument("Matrix::update_rows: operands overlap");
+  }
+  update_rows_kernel(data_.data(), rows_, cols_, delta.data(), x.data(),
+                     -learning_rate);
 }
 
 namespace {

@@ -2,8 +2,9 @@
 //
 // The paper's DNN is tiny (Table II: 4 layers x 50 units). Its hot kernels
 // are the per-sample gemv of the forward pass, the fused back-propagation
-// sweep that applies Eq. 8 in place, and the batched GEMM of inference;
-// matrix.cpp states the bit-identity contract they keep.
+// sweep that applies Eq. 8 in place (and its update-only twin), and the
+// batched GEMM of inference; matrix.cpp states the bit-identity contract
+// they keep.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +48,9 @@ class Matrix {
 
   /// y = A x (x.size() == cols, y.size() == rows), written into the
   /// caller's span: y[r] is one accumulator starting at 0.0 that adds
-  /// A(r, c) * x[c] over ascending c.
+  /// A(r, c) * x[c] over ascending c. On AVX2 hosts the kernel runs that
+  /// recurrence for blocks of eight rows, one row per SIMD lane, so the
+  /// rows' chains overlap while each row's sum keeps its scalar order.
   void multiply(std::span<const double> x, std::span<double> y) const;
 
   /// Y = X A^T for a batch X of N row-major inputs (N x cols), producing
@@ -67,6 +70,13 @@ class Matrix {
   void backprop_update(std::span<const double> delta,
                        std::span<const double> x, double learning_rate,
                        std::span<double> input_grad);
+
+  /// backprop_update() without the input gradient, for callers that
+  /// would discard it: for each row r in ascending order with
+  /// delta[r] != 0, A(r, c) += (-learning_rate) * (delta[r] * x[c]).
+  /// Leaves A bit-identical to backprop_update().
+  void update_rows(std::span<const double> delta, std::span<const double> x,
+                   double learning_rate);
 
   /// Xavier/Glorot uniform init: U(-limit, limit), limit = sqrt(6/(in+out)).
   static Matrix xavier(std::size_t rows, std::size_t cols, util::Rng& rng);

@@ -89,10 +89,12 @@ double Network::train_step(std::span<const double> input,
   const double loss = mse(prediction, target);
   output_grad_.resize(prediction.size());
   mse_gradient(prediction, target, output_grad_);
+  // From the head down; the first layer's dLoss/dInput has no reader.
   std::span<const double> grad = output_grad_;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = it->backward_step(grad, learning_rate);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    grad = layers_[i].backward_step(grad, learning_rate);
   }
+  layers_.front().update_step(grad, learning_rate);
   return loss;
 }
 

@@ -57,8 +57,9 @@ class Network {
 
   /// One per-sample SGD step (Eq. 5-8): forward into each layer's cached
   /// output, MSE loss, then each layer's fused backward_step() from the
-  /// head down, which updates its weights in place. Returns the sample
-  /// loss. Allocation-free after the first call; throws unless
+  /// head down, which updates its weights in place; the first layer,
+  /// whose dLoss/dInput has no reader, takes update_step(). Returns the
+  /// sample loss. Allocation-free after the first call; throws unless
   /// learning_rate > 0.
   double train_step(std::span<const double> input,
                     std::span<const double> target, double learning_rate);

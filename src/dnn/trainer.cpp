@@ -105,11 +105,13 @@ void Trainer::pretrain(Network& network, const Dataset& data,
         const Vector& code = enc.forward(x);
         const Vector& recon = dec.forward(code);
         mse_gradient(recon, x, recon_grad);
-        // The decoder updates before the encoder's backward pass; the
-        // encoder never reads decoder weights, so the order is invisible.
+        // The decoder updates before the encoder steps; the encoder
+        // never reads decoder weights, so the order is invisible. Nothing
+        // reads the encoder's dLoss/dInput, so it takes the update-only
+        // step.
         const Vector& code_grad =
             dec.backward_step(recon_grad, kPretrainLearningRate);
-        enc.backward_step(code_grad, kPretrainLearningRate);
+        enc.update_step(code_grad, kPretrainLearningRate);
       }
     }
   }
@@ -130,17 +132,25 @@ TrainReport Trainer::fit(Network& network, double learning_rate,
   // Samples [0, train_count) train; the chronological tail validates,
   // its inputs packed for the batched forward pass once per fit.
   const std::size_t train_count = data.validation_start(kValidationFraction);
-  pretrain(network, data, train_count);
+  {
+    const obs::ScopedTimer pretrain_timer("dnn.pretrain");
+    pretrain(network, data, train_count);
+  }
   const std::vector<Matrix> val_inputs =
       pack_inputs(data, train_count, data.size());
 
   // Hoisted metric handles: one registry lookup per fit, not per epoch.
+  // Each epoch's SGD steps add to dnn.fine_tune and its validation pass
+  // to dnn.validate.
   obs::MetricRegistry& reg = obs::registry();
   const bool metrics = reg.enabled();
   obs::Histogram* epoch_ms = metrics ? &reg.histogram("dnn.epoch_ms") : nullptr;
+  obs::PhaseStat* fine_tune = metrics ? &reg.phase("dnn.fine_tune") : nullptr;
+  obs::PhaseStat* validate = metrics ? &reg.phase("dnn.validate") : nullptr;
   obs::Counter* sgd_steps = metrics ? &reg.counter("dnn.sgd_steps") : nullptr;
   obs::Counter* epochs_run = metrics ? &reg.counter("dnn.epochs") : nullptr;
 
+  using Ms = std::chrono::duration<double, std::milli>;
   double best_val = std::numeric_limits<double>::infinity();
   std::size_t since_best = 0;
   for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
@@ -151,6 +161,8 @@ TrainReport Trainer::fit(Network& network, double learning_rate,
       train_loss += network.train_step(data.inputs[idx], data.targets[idx],
                                        learning_rate);
     }
+    const auto steps_end =
+        metrics ? std::chrono::steady_clock::now() : epoch_start;
     report.final_train_loss = train_loss / static_cast<double>(train_count);
     const double val_loss =
         val_inputs.empty()
@@ -160,9 +172,10 @@ TrainReport Trainer::fit(Network& network, double learning_rate,
     report.epochs_run = epoch + 1;
 
     if (metrics) {
-      const std::chrono::duration<double, std::milli> wall =
-          std::chrono::steady_clock::now() - epoch_start;
-      epoch_ms->observe(wall.count());
+      const auto epoch_end = std::chrono::steady_clock::now();
+      epoch_ms->observe(Ms(epoch_end - epoch_start).count());
+      fine_tune->add(Ms(steps_end - epoch_start).count());
+      validate->add(Ms(epoch_end - steps_end).count());
       sgd_steps->add(order.size());
       epochs_run->add(1);
       obs::set_gauge("dnn.epoch_train_loss", report.final_train_loss);

@@ -184,13 +184,15 @@ class StreamReader {
  private:
   struct Impl;
 
+  // Impl's constructor reads path_ and writes the fields after it, so
+  // they are declared (and initialized) before impl_.
   std::string path_;
-  std::unique_ptr<Impl> impl_;
   StreamStats stats_;
   bool exhausted_ = false;
   std::int64_t safe_submit_slot_ = 0;
   std::int64_t horizon_slots_ = 0;
   std::int64_t epoch_us_ = 0;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace corp::trace

@@ -2,10 +2,53 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <span>
+#include <vector>
 
 namespace corp::dnn {
 namespace {
+
+/// The recurrence Matrix::multiply() promises, one row at a time:
+/// acc = 0.0, then acc += A(r, c) * x[c] over ascending c.
+std::vector<double> reference_multiply(const Matrix& a,
+                                       std::span<const double> x) {
+  std::vector<double> y(a.rows());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    double acc = 0.0;
+    for (std::size_t c = 0; c < a.cols(); ++c) acc += a(r, c) * x[c];
+    y[r] = acc;
+  }
+  return y;
+}
+
+/// A value from one of five classes: +0.0, -0.0, a subnormal, a large
+/// magnitude (2^400 to 2^490, so no product or 53-term sum overflows and
+/// no NaN can arise) or an ordinary value in [-1, 1].
+double draw_hostile(util::Rng& rng) {
+  const std::int64_t kind = rng.uniform_int(0, 9);
+  const double sign = rng.bernoulli(0.5) ? -1.0 : 1.0;
+  switch (kind) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2: {
+      const auto mantissa = static_cast<std::uint64_t>(
+          rng.uniform_int(1, (std::int64_t{1} << 52) - 1));
+      return sign * std::bit_cast<double>(mantissa);
+    }
+    case 3:
+      return sign * std::ldexp(rng.uniform(1.0, 2.0),
+                               static_cast<int>(rng.uniform_int(400, 490)));
+    default:
+      return rng.uniform(-1.0, 1.0);
+  }
+}
 
 TEST(MatrixTest, ConstructionAndFill) {
   Matrix m(2, 3, 1.5);
@@ -41,6 +84,35 @@ TEST(MatrixTest, MultiplyKnownValues) {
   m.multiply(std::vector<double>{1.0, 0.0, -1.0}, y);
   EXPECT_DOUBLE_EQ(y[0], -2.0);
   EXPECT_DOUBLE_EQ(y[1], -2.0);
+}
+
+// The gemv kernel vectorizes across rows in blocks with row and column
+// tails; every shape around those block edges must reproduce the scalar
+// recurrence bit for bit, on values that expose any reordering: signed
+// zeros, subnormals and magnitudes far apart.
+TEST(MatrixTest, MultiplyMatchesScalarRecurrenceBitForBit) {
+  util::Rng rng(2016);
+  const std::size_t kSizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 50};
+  std::vector<std::size_t> row_counts(std::begin(kSizes), std::end(kSizes));
+  std::vector<std::size_t> col_counts = row_counts;
+  row_counts.push_back(51);
+  col_counts.push_back(53);
+  for (std::size_t rows : row_counts) {
+    for (std::size_t cols : col_counts) {
+      Matrix a(rows, cols);
+      std::vector<double> x(cols);
+      Vector y(rows);
+      for (int trial = 0; trial < 20; ++trial) {
+        for (double& w : a.flat()) w = draw_hostile(rng);
+        for (double& v : x) v = draw_hostile(rng);
+        a.multiply(x, y);
+        const std::vector<double> expected = reference_multiply(a, x);
+        const int cmp =
+            std::memcmp(y.data(), expected.data(), rows * sizeof(double));
+        ASSERT_EQ(cmp, 0) << rows << "x" << cols << " trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, MultiplyDimensionMismatchThrows) {
@@ -105,6 +177,34 @@ TEST(MatrixTest, BackpropUpdateShapeMismatchThrows) {
   Vector shared{1.0, 2.0};
   EXPECT_THROW(m.backprop_update(std::vector<double>{1.0, 2.0}, shared, 0.1,
                                  shared),
+               std::invalid_argument);
+}
+
+// The update-only sweep applies exactly the fused sweep's weight update
+// (rows with delta == 0 stay untouched) and leaves no input gradient.
+TEST(MatrixTest, UpdateRowsMatchesBackpropUpdateWeights) {
+  util::Rng rng(5);
+  Matrix fused = Matrix::xavier(7, 5, rng);
+  Matrix update_only = fused;
+  const std::vector<double> delta{0.5, 0.0, -1.25, 2.0, 0.0, -0.0, 0.75};
+  const std::vector<double> x{0.25, 0.0, -2.0, 1.5, -0.0};
+  Vector input_grad(5, 0.0);
+  fused.backprop_update(delta, x, 0.05, input_grad);
+  update_only.update_rows(delta, x, 0.05);
+  const int cmp = std::memcmp(fused.flat().data(), update_only.flat().data(),
+                              fused.size() * sizeof(double));
+  EXPECT_EQ(cmp, 0);
+}
+
+TEST(MatrixTest, UpdateRowsShapeMismatchThrows) {
+  Matrix m(2, 2);
+  EXPECT_THROW(m.update_rows(std::vector<double>{1.0},
+                             std::vector<double>{1.0, 2.0}, 0.1),
+               std::invalid_argument);
+  EXPECT_THROW(m.update_rows(std::vector<double>{1.0, 2.0},
+                             std::vector<double>{1.0}, 0.1),
+               std::invalid_argument);
+  EXPECT_THROW(m.update_rows(std::vector<double>{1.0, 2.0}, m.row(0), 0.1),
                std::invalid_argument);
 }
 

@@ -1,14 +1,14 @@
-// The fused per-sample SGD step (DenseLayer::backward_step,
-// Network::train_step) against a test-local copy of the three-pass step
-// it replaced: zero the gradient buffers, accumulate delta x^T and
-// W^T delta in separate passes, then apply W += (-mu) * G and
-// b -= mu * g_b. Training is pinned bit for bit by the simulation
-// goldens, so every weight, bias, returned dLoss/dInput and loss must
-// match exactly (compared as bit patterns), step after step. The shapes
-// include odd row counts so the interleaved gemv and the vectorized
-// update sweep run their tails, inputs include exact zeros (the -0.0
-// products the contract in matrix.cpp reasons about), and saturated
-// units give rows whose error term is exactly 0.
+// The fused per-sample SGD step (DenseLayer::backward_step, its
+// update-only twin update_step, Network::train_step) against a
+// test-local copy of the three-pass step it replaced: zero the gradient
+// buffers, accumulate delta x^T and W^T delta in separate passes, then
+// apply W += (-mu) * G and b -= mu * g_b. Training is pinned bit for bit
+// by the simulation goldens, so every weight, bias, returned
+// dLoss/dInput and loss must match exactly (compared as bit patterns),
+// step after step. The shapes include odd row counts so the row-blocked
+// gemv and the vectorized update sweeps run their tails, inputs include
+// exact zeros (the -0.0 products the contract in matrix.cpp reasons
+// about), and saturated units give rows whose error term is exactly 0.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -215,6 +215,33 @@ TEST_P(SgdStepLayerTest, MatchesThreePassStepBitForBit) {
   }
 }
 
+// The update-only step (for callers that discard dLoss/dInput) against
+// the full step on a copy of the same layer: weights and biases match
+// bit for bit at every step, zero error terms included.
+TEST_P(SgdStepLayerTest, UpdateStepMatchesBackwardStepBitForBit) {
+  const LayerShape shape = GetParam();
+  util::Rng rng(23 + shape.inputs * 31 + shape.outputs);
+  DenseLayer full(shape.inputs, shape.outputs, shape.activation, rng);
+  DenseLayer update_only = full;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    const std::vector<double> x = draw_input(rng, shape.inputs);
+    std::vector<double> grad(shape.outputs);
+    for (std::size_t r = 0; r < shape.outputs; ++r) {
+      grad[r] = (r + step) % 3 == 0 ? 0.0 : rng.uniform(-1.0, 1.0);
+    }
+    const Vector out = full.forward(x);
+    const Vector update_out = update_only.forward(x);
+    ASSERT_EQ(first_mismatch(out, update_out), out.size()) << "step " << step;
+    full.backward_step(grad, kRate);
+    update_only.update_step(grad, kRate);
+    const std::size_t w =
+        first_mismatch(update_only.weights().flat(), full.weights().flat());
+    ASSERT_EQ(w, full.weights().size()) << "step " << step << ": weight " << w;
+    const std::size_t b = first_mismatch(update_only.bias(), full.bias());
+    ASSERT_EQ(b, full.bias().size()) << "step " << step << ": bias " << b;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SgdStepLayerTest,
     ::testing::Values(LayerShape{1, 1, Activation::kIdentity},
@@ -280,12 +307,14 @@ INSTANTIATE_TEST_SUITE_P(
                       NetShape{5, 3, 7, 3}, NetShape{12, 4, 50, 1}),
     ::testing::PrintToStringParamName());
 
-// The layerwise pretraining pair (encoder, transient identity decoder),
-// stepped the way Trainer::pretrain does: the decoder's fused step runs
-// before the encoder's backward pass, where the old code ran both
-// backward passes and then one optimizer step over both layers.
-TEST(SgdStepPretrainTest, EncoderDecoderPairMatchesThreePassStep) {
-  util::Rng rng(41);
+// Steps the layerwise pretraining pair (encoder, transient identity
+// decoder) against the three passes: the decoder's fused step runs
+// before the encoder's step, where the old code ran both backward passes
+// and then one optimizer step over both layers. The encoder takes the
+// full step, whose dLoss/dInput must match too, or the update-only step.
+void expect_pretrain_pair_matches(std::uint64_t seed,
+                                  bool update_only_encoder) {
+  util::Rng rng(seed);
   DenseLayer enc(12, 50, Activation::kSigmoid, rng);
   DenseLayer dec(50, 12, Activation::kIdentity, rng);
   OracleLayer oracle_enc(enc);
@@ -297,7 +326,12 @@ TEST(SgdStepPretrainTest, EncoderDecoderPairMatchesThreePassStep) {
     const Vector& recon = dec.forward(code);
     mse_gradient(recon, x, recon_grad);
     const Vector code_grad = dec.backward_step(recon_grad, kRate);
-    const Vector input_grad = enc.backward_step(code_grad, kRate);
+    Vector input_grad;
+    if (update_only_encoder) {
+      enc.update_step(code_grad, kRate);
+    } else {
+      input_grad = enc.backward_step(code_grad, kRate);
+    }
 
     oracle_enc.zero_grad();
     oracle_dec.zero_grad();
@@ -314,15 +348,27 @@ TEST(SgdStepPretrainTest, EncoderDecoderPairMatchesThreePassStep) {
 
     ASSERT_EQ(first_mismatch(code_grad, oracle_code_grad), code_grad.size())
         << "step " << step;
-    ASSERT_EQ(first_mismatch(input_grad, oracle_input_grad),
-              input_grad.size())
-        << "step " << step;
+    if (!update_only_encoder) {
+      ASSERT_EQ(first_mismatch(input_grad, oracle_input_grad),
+                input_grad.size())
+          << "step " << step;
+    }
     expect_layer_matches(enc, oracle_enc,
                          "encoder step " + std::to_string(step));
     expect_layer_matches(dec, oracle_dec,
                          "decoder step " + std::to_string(step));
-    if (HasFailure()) return;
+    if (::testing::Test::HasFailure()) return;
   }
+}
+
+TEST(SgdStepPretrainTest, EncoderDecoderPairMatchesThreePassStep) {
+  expect_pretrain_pair_matches(41, /*update_only_encoder=*/false);
+}
+
+// The pair stepped the way Trainer::pretrain does: the encoder's
+// dLoss/dInput has no reader, so it takes the update-only step.
+TEST(SgdStepPretrainTest, EncoderUpdateStepMatchesThreePassStep) {
+  expect_pretrain_pair_matches(43, /*update_only_encoder=*/true);
 }
 
 // Eq. 8 with known numbers: delta = 4 * F'(.) = 4 for an identity unit

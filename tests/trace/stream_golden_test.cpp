@@ -255,13 +255,11 @@ StreamStats stats_of(const std::string& path, TraceSchema schema,
   return reader.stats();
 }
 
-// Expected blocks of each case, as render() prints them. file_bytes reads
-// 0 because StreamReader declares stats_ after impl_: the member's own
-// initializer runs after Impl's constructor has stored the file size.
+// Expected blocks of each case, as render() prints them.
 // clang-format off
 const Expected kGoogleFixtureDrop = {
 R"(digest=0x45f98fc8d5161672 jobs=480 horizon=240 epoch_us=600000000
-file_bytes=0
+file_bytes=38775
 bytes_read=38775
 rows_parsed=568
 lines_seen=569
@@ -276,7 +274,7 @@ peak_open_tasks=190
 safe_slots=max
 )",
 R"(digest=0x45f98fc8d5161672 jobs=480 horizon=240 epoch_us=600000000
-file_bytes=0
+file_bytes=38775
 bytes_read=38775
 rows_parsed=568
 lines_seen=569
@@ -292,7 +290,7 @@ safe_slots=0,90,150,max
 )"};
 const Expected kGoogleFixtureSegment = {
 R"(digest=0x75011dcb009a6a11 jobs=568 horizon=300 epoch_us=600000000
-file_bytes=0
+file_bytes=38775
 bytes_read=38775
 rows_parsed=568
 lines_seen=569
@@ -307,7 +305,7 @@ peak_open_tasks=190
 safe_slots=max
 )",
 R"(digest=0x75011dcb009a6a11 jobs=568 horizon=300 epoch_us=600000000
-file_bytes=0
+file_bytes=38775
 bytes_read=38775
 rows_parsed=568
 lines_seen=569
@@ -323,7 +321,7 @@ safe_slots=30,120,180,max
 )"};
 const Expected kRaggedGoogleDrop = {
 R"(digest=0x540cc3386423b351 jobs=260 horizon=1380 epoch_us=600000000
-file_bytes=0
+file_bytes=103827
 bytes_read=103827
 rows_parsed=1500
 lines_seen=1501
@@ -338,7 +336,7 @@ peak_open_tasks=82
 safe_slots=max
 )",
 R"(digest=0x540cc3386423b351 jobs=260 horizon=1380 epoch_us=600000000
-file_bytes=0
+file_bytes=103827
 bytes_read=103827
 rows_parsed=1500
 lines_seen=1501
@@ -354,7 +352,7 @@ safe_slots=120,240,330,480,600,750,870,1020,max
 )"};
 const Expected kRaggedGoogleSegment = {
 R"(digest=0xcc28be8d10cca87a jobs=1500 horizon=1440 epoch_us=600000000
-file_bytes=0
+file_bytes=103827
 bytes_read=103827
 rows_parsed=1500
 lines_seen=1501
@@ -369,7 +367,7 @@ peak_open_tasks=82
 safe_slots=max
 )",
 R"(digest=0xcc28be8d10cca87a jobs=1500 horizon=1440 epoch_us=600000000
-file_bytes=0
+file_bytes=103827
 bytes_read=103827
 rows_parsed=1500
 lines_seen=1501
@@ -385,7 +383,7 @@ safe_slots=150,270,360,510,630,780,900,1050,max
 )"};
 const Expected kRaggedAzureDrop = {
 R"(digest=0xfa8941af853916c7 jobs=237 horizon=1350 epoch_us=600000000
-file_bytes=0
+file_bytes=69155
 bytes_read=69155
 rows_parsed=1809
 lines_seen=1810
@@ -400,7 +398,7 @@ peak_open_tasks=100
 safe_slots=max
 )",
 R"(digest=0xfa8941af853916c7 jobs=237 horizon=1350 epoch_us=600000000
-file_bytes=0
+file_bytes=69155
 bytes_read=69155
 rows_parsed=1809
 lines_seen=1810
@@ -416,7 +414,7 @@ safe_slots=240,450,660,870,1080,max
 )"};
 const Expected kRaggedAzureSegment = {
 R"(digest=0xe00a74442383017c jobs=1809 horizon=1470 epoch_us=600000000
-file_bytes=0
+file_bytes=69155
 bytes_read=69155
 rows_parsed=1809
 lines_seen=1810
@@ -431,7 +429,7 @@ peak_open_tasks=100
 safe_slots=max
 )",
 R"(digest=0xe00a74442383017c jobs=1809 horizon=1470 epoch_us=600000000
-file_bytes=0
+file_bytes=69155
 bytes_read=69155
 rows_parsed=1809
 lines_seen=1810

@@ -152,6 +152,20 @@ TEST(StreamReaderTest, SplitSubWindowRecordsMergeIntoOneWindow) {
   EXPECT_EQ(jobs[0].duration_slots, jobs[1].duration_slots);
 }
 
+TEST(StreamReaderTest, FileBytesIsTheFileSizeBeforeTheFirstAdvance) {
+  const std::string body =
+      "#corp-trace schema=google-v2\n" +
+      testfix::google_row(kEpochUs, kEpochUs + kWindowUs, 3, 0.010, 0.008,
+                          0.0005);
+  const std::string path = write_file("stream_file_bytes.csv", body);
+  StreamReader reader(path, StreamReaderConfig{});
+  EXPECT_EQ(reader.stats().file_bytes, body.size());
+  EXPECT_EQ(reader.stats().bytes_read, 0u);
+  while (reader.advance()) {
+  }
+  EXPECT_EQ(reader.stats().file_bytes, body.size());
+}
+
 TEST(StreamReaderTest, SkippedWindowsAreGapFilled) {
   // Task 5 reports windows 0 and 2 but not 1 — the trace omits windows
   // with unchanged usage, so the reader must repeat window 0 across the
